@@ -477,8 +477,8 @@ void WriteMicroReport() {
   {
     // Cyclic case for the scan fast path: the triangle's deepest level has
     // two participating atoms (S's and T's z columns), so the batch API
-    // drains it through the galloping intersection instead of a full
-    // leapfrog re-seek per tuple. tau is set so light intervals stream
+    // drains it through the k-way merge instead of a full leapfrog re-seek
+    // per tuple. tau is set so light intervals stream
     // through the WCOJ joins (at tau=1 the traversal emits almost every
     // tuple via per-tuple tree operations — split probes and unit leaves —
     // which no batch API can amortize).

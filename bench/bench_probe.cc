@@ -1,8 +1,9 @@
 // Probe microbench: HashIndex vs SortedIndex point-membership latency.
 //
-// The index-selection policy routes point probes (Relation::Contains,
-// BoundAtom::ContainsValuation, the Algorithm 2 split probe) to the flat
-// open-addressed HashIndex and keeps the sorted tries for lex-range work.
+// The index-selection policy routes isolated point probes
+// (Relation::Contains, BoundAtom::ContainsValuation, the aggregate walks'
+// split points) to the flat open-addressed HashIndex and keeps the sorted
+// tries for lex-range work.
 // This bench quantifies that choice: for each relation cardinality and
 // probe hit rate it measures nanoseconds per probe through both paths —
 // the hash plan, and the per-column trie refinement the probe path used

@@ -99,8 +99,8 @@ Result<std::unique_ptr<CompressedRep>> CompressedRep::MakeSkeleton(
   std::set<const Relation*> distinct(rels.begin(), rels.end());
   for (const Relation* r : distinct) {
     // The hash probe plan is part of the serving structure (index policy:
-    // point probes bypass the tries): build it now rather than on the first
-    // request's split probe.
+    // isolated point probes bypass the tries): build it now rather than on
+    // the first aggregate walk's or update filter's probe.
     r->GetHashIndex();
     s.index_bytes += r->IndexBytes();
     s.hash_index_bytes += r->HashIndexBytes();
@@ -219,9 +219,11 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
         range_hi_ = range->hi;
     }
     vb_id_ = rep_->dict_.FindValuation(vb_);
-    // One shared join-input table for every box join of this request: the
-    // trie, pre-bound start range, and level map never change, only the
-    // per-box constraints do (JoinIterator::Reset).
+    // One join cursor for the whole request: the trie, pre-bound start
+    // range, and level map never change, only the per-box (or per split
+    // point) constraints do. The in-order walk hands it light intervals
+    // and split points in ascending lex order, so every restart resumes
+    // from the runs the previous box or point left behind.
     for (size_t a = 0; a < rep_->atoms_.size(); ++a) {
       const BoundAtom& atom = rep_->atoms_[a];
       JoinAtomInput in;
@@ -233,6 +235,8 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
                                atom.num_bound() + i);
       base_inputs_.push_back(std::move(in));
     }
+    join_.emplace(&base_inputs_, rep_->domain_.mu(),
+                  std::vector<LevelConstraint>(rep_->domain_.mu()));
     PushClipped(rep_->tree_.root(),
                 FInterval{rep_->domain_.MinTuple(), rep_->domain_.MaxTuple()});
     done_ = top_ == 0;
@@ -317,9 +321,11 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
           const TupleSpan beta = tree.beta(f.node);
           // The frame interval is already clipped, so containment is the
           // range check (beta always lies in the unclipped node interval).
-          if (f.interval.Contains(beta) && BetaMatches(beta)) {
-            out->Append(beta);
-            ++emitted;
+          // Membership is a unit-box run of the request's join cursor,
+          // which appends beta itself on a match.
+          if (f.interval.Contains(beta)) {
+            join_->ResetToPoint(beta);
+            emitted += join_->NextBatch(out, 1);
           }
           break;
         }
@@ -372,28 +378,9 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
 
   // Starts the join for eval_boxes_[eval_idx_]; false when exhausted.
   bool AdvanceBox() {
-    const int mu = rep_->domain_.mu();
     if (eval_idx_ >= eval_boxes_.size()) return false;
-    const FBox& box = eval_boxes_[eval_idx_++];
-    box_constraints_.clear();
-    for (int i = 0; i < mu; ++i)
-      box_constraints_.push_back(LevelConstraint::FromDim(box.dims[i]));
-    if (!join_.has_value()) {
-      join_.emplace(&base_inputs_, mu, box_constraints_);
-    } else {
-      join_->Reset(box_constraints_);
-    }
+    join_->ResetToBox(eval_boxes_[eval_idx_++]);
     join_active_ = true;
-    return true;
-  }
-
-  // Membership of the split point: the unit-interval probe of Algorithm 2.
-  // One hash probe per atom (index-selection policy: point membership goes
-  // to the HashIndex, not the sorted tries).
-  bool BetaMatches(TupleSpan beta) const {
-    for (const BoundAtom& atom : rep_->atoms_) {
-      if (!atom.ContainsValuation(vb_, beta)) return false;
-    }
     return true;
   }
 
@@ -409,9 +396,9 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
   FInterval child_;  // scratch for child-interval derivation
   std::vector<FBox> eval_boxes_;
   size_t eval_idx_ = 0;
-  std::optional<JoinIterator> join_;  // reused across boxes via Reset()
+  // The request's one forward cursor: every light box and split point.
+  std::optional<JoinIterator> join_;
   bool join_active_ = false;
-  std::vector<LevelConstraint> box_constraints_;  // reused per box
   TupleBuffer scratch_;    // staged block for the Next() entry point
   size_t scratch_pos_ = 0;  // next staged tuple to serve
   bool done_ = false;
@@ -506,6 +493,16 @@ bool CompressedRep::AnswerExists(const BoundValuation& vb) const {
 
 namespace {
 
+// Split-point membership for the recursive aggregate walks: one hash probe
+// per atom. The walks have no request cursor to reuse (light subtrees drain
+// through their own enumerators), so they keep the hash path.
+bool SplitPointMatches(const std::vector<BoundAtom>& atoms,
+                       const BoundValuation& vb, TupleSpan beta) {
+  for (const BoundAtom& atom : atoms)
+    if (!atom.ContainsValuation(vb, beta)) return false;
+  return true;
+}
+
 // True when every tuple in `interval` shares the same first `k` values —
 // the condition under which a whole annotated subtree folds into a single
 // group with key interval.lo[0..k). Trivially true for k == 0, which is
@@ -538,12 +535,6 @@ struct AggBuildWalker {
   std::vector<Value>* tree_vals = nullptr;
   std::vector<uint64_t>* entry_counts = nullptr;
   std::vector<Value>* entry_vals = nullptr;
-
-  bool BetaMatches(TupleSpan beta) const {
-    for (const BoundAtom& atom : *atoms)
-      if (!atom.ContainsValuation(vb, beta)) return false;
-    return true;
-  }
 
   void Drain(const FInterval& interval, RingCell* out) const {
     auto e = rep->AnswerRange(vb, interval);
@@ -592,7 +583,8 @@ struct AggBuildWalker {
       if (tree->left(node) >= 0 &&
           DelayBalancedTree::LeftInterval(interval, beta, *domain, &child))
         Walk(tree->left(node), child, &cell);
-      if (interval.Contains(beta) && BetaMatches(beta)) cell.FoldTuple(beta);
+      if (interval.Contains(beta) && SplitPointMatches(*atoms, vb, beta))
+        cell.FoldTuple(beta);
       if (tree->right(node) >= 0 &&
           DelayBalancedTree::RightInterval(interval, beta, *domain, &child))
         Walk(tree->right(node), child, &cell);
@@ -696,12 +688,6 @@ struct AggQueryWalker {
   bool tree_mode = false;
   GroupAccumulator* acc;
 
-  bool BetaMatches(TupleSpan beta) const {
-    for (const BoundAtom& atom : *atoms)
-      if (!atom.ContainsValuation(*vb, beta)) return false;
-    return true;
-  }
-
   void Drain(const FInterval& interval) const {
     auto e = rep->AnswerRange(*vb, interval);
     TupleBuffer buf(mu);
@@ -762,7 +748,8 @@ struct AggQueryWalker {
     if (tree->left(node) >= 0 &&
         DelayBalancedTree::LeftInterval(interval, beta, *domain, &child))
       Walk(tree->left(node), child);
-    if (interval.Contains(beta) && BetaMatches(beta)) acc->AddTuple(beta);
+    if (interval.Contains(beta) && SplitPointMatches(*atoms, *vb, beta))
+      acc->AddTuple(beta);
     if (tree->right(node) >= 0 &&
         DelayBalancedTree::RightInterval(interval, beta, *domain, &child))
       Walk(tree->right(node), child);
@@ -836,19 +823,11 @@ struct FixupWalker {
                                atom.num_bound() + i);
       inputs.push_back(std::move(in));
     }
-    std::optional<JoinIterator> join;
-    std::vector<LevelConstraint> constraints;
+    JoinIterator join(&inputs, mu, std::vector<LevelConstraint>(mu));
     Tuple vf;
     for (const FBox& box : boxes) {
-      constraints.clear();
-      for (int i = 0; i < mu; ++i)
-        constraints.push_back(LevelConstraint::FromDim(box.dims[i]));
-      if (!join.has_value()) {
-        join.emplace(&inputs, mu, constraints);
-      } else {
-        join->Reset(constraints);
-      }
-      while (join->Next(&vf)) {
+      join.ResetToBox(box);
+      while (join.Next(&vf)) {
         if ((*live)(vb, vf)) return true;
       }
     }

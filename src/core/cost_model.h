@@ -20,9 +20,9 @@ namespace cqc {
 
 /// Access-path accounting for the index-selection policy. Every count the
 /// cost model issues is a sorted-trie range seek (a lex range has no hash
-/// equivalent), while point-membership probes (Relation::Contains,
-/// BoundAtom::ContainsValuation, the Algorithm 2 split probe) bypass the
-/// tries entirely via the per-relation HashIndex. The counters are the
+/// equivalent), while isolated point-membership probes (Relation::Contains,
+/// BoundAtom::ContainsValuation, the aggregate walks' split points) bypass
+/// the tries entirely via the per-relation HashIndex. The counters are the
 /// thread-local tallies from util/op_counter.h; snapshot deltas around a
 /// region to attribute probes to it (bench_probe and the planner's explain
 /// output do).

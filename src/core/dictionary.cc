@@ -265,7 +265,7 @@ bool DictionaryBuilder::ProbeNonEmpty(TupleSpan vb,
                                       const std::vector<FBox>& boxes) const {
   const int mu = domain_->mu();
   // The atom inputs depend only on vb; the boxes just change constraints,
-  // so one JoinIterator serves every box via Reset().
+  // so one JoinIterator serves every box via ResetToBox().
   std::vector<JoinAtomInput> inputs;
   for (const BoundAtom& atom : *atoms_) {
     JoinAtomInput in;
@@ -277,19 +277,11 @@ bool DictionaryBuilder::ProbeNonEmpty(TupleSpan vb,
       in.levels.emplace_back(atom.free_positions()[i], atom.num_bound() + i);
     inputs.push_back(std::move(in));
   }
-  std::optional<JoinIterator> join;
-  std::vector<LevelConstraint> constraints;
+  JoinIterator join(&inputs, mu, std::vector<LevelConstraint>(mu));
   Tuple out;
   for (const FBox& box : boxes) {
-    constraints.clear();
-    for (int i = 0; i < mu; ++i)
-      constraints.push_back(LevelConstraint::FromDim(box.dims[i]));
-    if (!join.has_value()) {
-      join.emplace(&inputs, mu, constraints);
-    } else {
-      join->Reset(constraints);
-    }
-    if (join->Next(&out)) return true;
+    join.ResetToBox(box);
+    if (join.Next(&out)) return true;
   }
   return false;
 }

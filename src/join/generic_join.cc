@@ -37,6 +37,7 @@ JoinIterator::JoinIterator(const std::vector<JoinAtomInput>* atoms,
     max_parts = std::max(max_parts, participants_[l].size());
   }
   seek_pos_.assign(max_parts, 0);
+  merge_.resize(max_parts);
   values_.assign(num_levels_, 0);
 }
 
@@ -58,7 +59,9 @@ JoinIterator::JoinIterator(JoinIterator&& other) noexcept
       participants_(std::move(other.participants_)),
       range_stack_(std::move(other.range_stack_)),
       values_(std::move(other.values_)),
+      valid_levels_(other.valid_levels_),
       seek_pos_(std::move(other.seek_pos_)),
+      merge_(std::move(other.merge_)),
       started_(other.started_),
       done_(other.done_),
       empty_atom_(other.empty_atom_) {}
@@ -73,19 +76,30 @@ JoinIterator& JoinIterator::operator=(JoinIterator&& other) noexcept {
   participants_ = std::move(other.participants_);
   range_stack_ = std::move(other.range_stack_);
   values_ = std::move(other.values_);
+  valid_levels_ = other.valid_levels_;
   seek_pos_ = std::move(other.seek_pos_);
+  merge_ = std::move(other.merge_);
   started_ = other.started_;
   done_ = other.done_;
   empty_atom_ = other.empty_atom_;
   return *this;
 }
 
-void JoinIterator::Reset(const std::vector<LevelConstraint>& constraints) {
-  CQC_CHECK_EQ((int)constraints.size(), num_levels_);
-  constraints_.assign(constraints.begin(), constraints.end());
+void JoinIterator::ResetToBox(const FBox& box) {
+  CQC_CHECK_EQ(box.mu(), num_levels_);
+  for (int l = 0; l < num_levels_; ++l)
+    constraints_[l] = LevelConstraint::FromDim(box.dims[l]);
   // Depth-0 ranges (the pre-bound starts) are never overwritten by
-  // SeekLevel, and deeper entries are re-derived before use — nothing else
-  // to restore.
+  // SeekLevel, and the current runs stay valid: the atom inputs are fixed,
+  // so only the targets of the next seeks change.
+  started_ = false;
+  done_ = false;
+}
+
+void JoinIterator::ResetToPoint(TupleSpan point) {
+  CQC_CHECK_EQ((int)point.size(), num_levels_);
+  for (int l = 0; l < num_levels_; ++l)
+    constraints_[l] = LevelConstraint::Unit(point[l]);
   started_ = false;
   done_ = false;
 }
@@ -102,7 +116,7 @@ Value JoinIterator::LevelStart(int level) const {
   return kBottom;
 }
 
-bool JoinIterator::SeekLevel(int level, Value from, bool use_hints) {
+bool JoinIterator::SeekLevel(int level, Value from) {
   const LevelConstraint& c = constraints_[level];
   Value v = from;
   if (c.kind != FBoxDim::kAny) {
@@ -111,13 +125,21 @@ bool JoinIterator::SeekLevel(int level, Value from, bool use_hints) {
   }
   const auto& parts = participants_[level];
   const size_t k = parts.size();
-  // Search cursors: when advancing past values_[level] under an unchanged
-  // parent, everything before the previous refinement's end is < v, so the
-  // gallop starts there (usually a direct hit on the next run).
+  // The level's current run is a valid hint when the parent ranges are
+  // unchanged since it was found and the target is not below its value.
+  const bool hinted = level < valid_levels_ && v >= values_[level];
+  if (hinted && v == values_[level]) {
+    // The run is the answer: every participant already sits on it.
+    ops::Bump();
+    return true;
+  }
+  // Search cursors: with a hint, everything before the run's end is
+  // <= values_[level] < v, so the gallop starts there (usually a direct
+  // hit on the next run); otherwise from the parent's first row.
   for (size_t j = 0; j < k; ++j) {
     const Participant& p = parts[j];
-    seek_pos_[j] = use_hints ? range_stack_[p.atom][p.depth + 1].end
-                             : range_stack_[p.atom][p.depth].begin;
+    seek_pos_[j] = hinted ? range_stack_[p.atom][p.depth + 1].end
+                          : range_stack_[p.atom][p.depth].begin;
   }
   // Leapfrog: cycle until every participant agrees on v.
   size_t agreed = 0;
@@ -153,6 +175,7 @@ bool JoinIterator::SeekLevel(int level, Value from, bool use_hints) {
         lo_pos, idx.RunEnd(parent, p.trie_level, lo_pos)};
   }
   values_[level] = v;
+  valid_levels_ = level + 1;  // deeper runs hang off the old one
   return true;
 }
 
@@ -198,7 +221,7 @@ bool JoinIterator::AdvanceToMatch() {
     } else {
       from = LevelStart(level);
     }
-    if (SeekLevel(level, from, /*use_hints=*/advancing)) {
+    if (SeekLevel(level, from)) {
       if (level == num_levels_ - 1) return true;
       ++level;
       advancing = false;
@@ -261,56 +284,71 @@ size_t JoinIterator::ScanLastLevel(TupleBuffer* out, size_t max_tuples) {
     }
     return emitted;
   }
+  // Several participants (a cyclic deepest level — the triangle's z): a
+  // k-way merge over the raw columns. Cursor 0 proposes the candidate and
+  // the others catch up by one inline step, galloping only when a cursor is
+  // still behind after it. Every step is one op, so hard intersections
+  // (long interleaved runs of non-matches) show up on the delay clock.
+  const Value hi = c.kind == FBoxDim::kRange ? c.hi : kTop;
+  for (size_t j = 0; j < k; ++j) {
+    const Participant& p = parts[j];
+    const RowRange run = range_stack_[p.atom][p.depth + 1];
+    merge_[j] = {atoms()[p.atom].index->LevelData(p.trie_level), run.end,
+                 range_stack_[p.atom][p.depth].end, run.begin, run.end};
+  }
+  Value last = values_[level];
   while (emitted < max_tuples) {
-    // Advance past the current runs and leapfrog the cursors to the next
-    // value present in every participant. One participant degenerates to a
-    // straight run-scan; several (a cyclic deepest level — the triangle's
-    // z) make this a galloping intersection instead of a full re-seek
-    // through AdvanceToMatch per output tuple.
-    const Participant& p0 = parts[0];
-    const SortedIndex& idx0 = *atoms()[p0.atom].index;
-    const RowRange parent0 = range_stack_[p0.atom][p0.depth];
-    const size_t pos0 = range_stack_[p0.atom][p0.depth + 1].end;
-    if (pos0 >= parent0.end) return emitted;
-    seek_pos_[0] = pos0;
-    Value v = idx0.ValueAt(p0.trie_level, pos0);
-    for (size_t j = 1; j < k; ++j)
-      seek_pos_[j] = range_stack_[parts[j].atom][parts[j].depth + 1].end;
-
-    size_t agreed = 1;
-    size_t i = k > 1 ? 1 : 0;
-    while (agreed < k) {
-      const Participant& p = parts[i];
-      const SortedIndex& idx = *atoms()[p.atom].index;
-      const RowRange parent = range_stack_[p.atom][p.depth];
-      const size_t pos = idx.SeekGE(parent, p.trie_level, v, seek_pos_[i]);
-      if (pos >= parent.end) return emitted;
-      seek_pos_[i] = pos;
-      const Value got = idx.ValueAt(p.trie_level, pos);
-      if (got > v) {
-        v = got;
+    const MergeCursor& lead = merge_[0];
+    if (lead.pos >= lead.end) break;
+    Value v = lead.col[lead.pos];
+    if (v > hi) break;
+    bool match = true;
+    for (size_t agreed = 1, i = 1; agreed < k; i = i + 1 == k ? 0 : i + 1) {
+      ops::Bump();
+      MergeCursor& m = merge_[i];
+      size_t pos = m.pos;
+      if (pos < m.end && m.col[pos] < v) {
+        ++pos;
+        if (pos < m.end && m.col[pos] < v) {
+          ops::BumpRangeSeek();
+          pos = simd::SeekGE(m.col, pos, m.end, v);
+        }
+        m.pos = pos;
+      }
+      if (pos >= m.end || m.col[pos] > hi) {
+        match = false;
+        break;
+      }
+      if (m.col[pos] > v) {
+        v = m.col[pos];
         agreed = 1;
       } else {
         ++agreed;
       }
-      i = (i + 1) % k;
     }
-    if (c.kind == FBoxDim::kRange && v > c.hi) return emitted;
-    ops::Bump();
-
+    if (!match) break;
+    // Every cursor sits on the first row of its v-run.
     for (size_t j = 0; j < k; ++j) {
-      const Participant& p = parts[j];
-      const SortedIndex& idx = *atoms()[p.atom].index;
-      const RowRange parent = range_stack_[p.atom][p.depth];
-      const size_t lo_pos = seek_pos_[j];
-      range_stack_[p.atom][p.depth + 1] = {
-          lo_pos, idx.RunEnd(parent, p.trie_level, lo_pos)};
+      MergeCursor& m = merge_[j];
+      size_t end = m.pos + 1;
+      if (end < m.end && m.col[end] == v)
+        end = simd::RunEnd(m.col, m.pos, m.end);
+      m.run_begin = m.pos;
+      m.run_end = m.pos = end;
     }
     Value* slot = out->AppendSlot();
     for (int l = 0; l < level; ++l) slot[l] = values_[l];
     slot[level] = v;
-    values_[level] = v;
+    last = v;
     ++emitted;
+  }
+  if (emitted > 0) {
+    values_[level] = last;
+    for (size_t j = 0; j < k; ++j) {
+      const Participant& p = parts[j];
+      range_stack_[p.atom][p.depth + 1] = {merge_[j].run_begin,
+                                           merge_[j].run_end};
+    }
   }
   return emitted;
 }
@@ -338,20 +376,12 @@ BoxJoinEnumerator::BoxJoinEnumerator(std::vector<JoinAtomInput> atoms,
 }
 
 bool BoxJoinEnumerator::AdvanceBox() {
-  while (box_idx_ < boxes_.size()) {
-    const FBox& box = boxes_[box_idx_++];
-    CQC_CHECK_EQ(box.mu(), num_levels_);
-    constraints_.clear();
-    for (int i = 0; i < num_levels_; ++i)
-      constraints_.push_back(LevelConstraint::FromDim(box.dims[i]));
-    if (!join_.has_value()) {
-      join_.emplace(&atoms_, num_levels_, constraints_);
-    } else {
-      join_->Reset(constraints_);
-    }
-    return true;
-  }
-  return false;
+  if (box_idx_ >= boxes_.size()) return false;
+  if (!join_.has_value())
+    join_.emplace(&atoms_, num_levels_,
+                  std::vector<LevelConstraint>(num_levels_));
+  join_->ResetToBox(boxes_[box_idx_++]);
+  return true;
 }
 
 bool BoxJoinEnumerator::Next(Tuple* out) {

@@ -58,18 +58,29 @@ class JoinIterator {
 
   /// Borrowing variant: `atoms` must outlive the iterator. The hot callers
   /// (Algorithm 2 box streaming, dictionary probes) build the atom inputs
-  /// once per request and re-run the join per f-box via Reset(), paying no
-  /// per-box allocation.
+  /// once per request and re-run the join per f-box via ResetToBox(),
+  /// paying no per-box allocation.
   JoinIterator(const std::vector<JoinAtomInput>* atoms, int num_levels,
                std::vector<LevelConstraint> constraints);
 
   JoinIterator(JoinIterator&& other) noexcept;
   JoinIterator& operator=(JoinIterator&& other) noexcept;
 
-  /// Rewinds the iterator to run again from the same atom inputs under new
-  /// per-level constraints (e.g. the next f-box). Reuses every internal
-  /// buffer: no allocation once the constraint capacity is warm.
-  void Reset(const std::vector<LevelConstraint>& constraints);
+  /// Rewinds the iterator to run again from the same atom inputs, restricted
+  /// to `box` (box.mu() == num_levels). Reuses every internal buffer.
+  ///
+  /// Each level keeps its current run while the runs above it are
+  /// unchanged, and a fresh seek whose target is >= that run's value starts
+  /// from the run instead of the parent's first row. A stream of boxes in
+  /// ascending lex order (Algorithm 2's in-order walk, a Lemma 1
+  /// decomposition) therefore moves one cursor forward through the tries;
+  /// a backward jump simply seeks from the parent again.
+  void ResetToBox(const FBox& box);
+
+  /// ResetToBox() onto the unit box {point} (point.size() == num_levels):
+  /// the next Next()/NextBatch() yields `point` iff it is a join result — a
+  /// trie membership probe that reuses the hinted runs.
+  void ResetToPoint(TupleSpan point);
 
   /// Emits the next result into `out` (resized to num_levels). Returns
   /// false when exhausted. Results come in ascending lexicographic order.
@@ -80,9 +91,10 @@ class JoinIterator {
   /// exhausted. Shares the stream with Next(). Beyond skipping the
   /// per-tuple copy, the deepest level is drained by a direct scan: a
   /// single participant's sorted column is walked run by run, and multiple
-  /// participants (cyclic queries — triangle, Loomis–Whitney) are merged by
-  /// a galloping intersection over their refined ranges — either way no
-  /// per-tuple re-seek through the full leapfrog machinery.
+  /// participants (cyclic queries — triangle, Loomis–Whitney) are merged
+  /// k ways over their raw columns, stepping inline and galloping only when
+  /// a cursor falls behind — either way no per-tuple re-seek through the
+  /// full leapfrog machinery.
   size_t NextBatch(TupleBuffer* out, size_t max_tuples);
 
  private:
@@ -94,12 +106,13 @@ class JoinIterator {
 
   // Seeks the smallest value >= `from` at `level` present in all
   // participants and allowed by the constraint; on success records the
-  // refined ranges and the value. Returns false if none exists. With
-  // `use_hints`, each participant's search starts from its previous
-  // refinement at this level (valid whenever the caller is advancing past
-  // values_[level] under an unchanged parent range) — sequential seeks
-  // then gallop O(1) instead of binary-searching the whole range.
-  bool SeekLevel(int level, Value from, bool use_hints);
+  // refined ranges and the value. Returns false if none exists. Each
+  // participant's search starts from the level's current run when that run
+  // is still valid (level < valid_levels_) and `from` is not below its
+  // value: past the run when `from` exceeds it, and with no search at all
+  // when the run is the answer. Sequential seeks then gallop O(1) instead
+  // of searching the parent range from its first row.
+  bool SeekLevel(int level, Value from);
 
   // Smallest admissible start value for `level`.
   Value LevelStart(int level) const;
@@ -111,9 +124,9 @@ class JoinIterator {
   // Fast path for NextBatch: with the iterator positioned on a match,
   // emits further matches that differ only in the last level. One
   // participant: a straight run-scan of its sorted column. Several
-  // participants (cyclic deepest level): a galloping intersection over
-  // their refined parent ranges. Leaves values_/range_stack_ consistent
-  // for the generic path. Returns the number emitted.
+  // participants (cyclic deepest level): a k-way merge over their raw
+  // columns. Leaves values_/range_stack_ consistent for the generic path.
+  // Returns the number emitted.
   size_t ScanLastLevel(TupleBuffer* out, size_t max_tuples);
 
   const std::vector<JoinAtomInput>& atoms() const { return *atoms_; }
@@ -130,17 +143,31 @@ class JoinIterator {
   // levels (d = 0 is the start range).
   std::vector<std::vector<RowRange>> range_stack_;
   std::vector<Value> values_;  // current value per join level
+  // Levels [0, valid_levels_) hold a current run: values_[l] and each
+  // participant's range_stack_ entry below level l describe a run inside
+  // the current parent ranges. A new run at level l invalidates every
+  // deeper level; ResetToBox() and ResetToPoint() keep them all.
+  int valid_levels_ = 0;
   // Scratch: per-participant search cursor of the level being sought
   // (everything before seek_pos_[i] is known < the current target value).
   std::vector<size_t> seek_pos_;
+  // Scratch for ScanLastLevel's several-participant merge.
+  struct MergeCursor {
+    const Value* col = nullptr;
+    size_t pos = 0;        // next unread row
+    size_t end = 0;        // parent range end
+    size_t run_begin = 0;  // run of the last emitted value
+    size_t run_end = 0;
+  };
+  std::vector<MergeCursor> merge_;
   bool started_ = false;
   bool done_ = false;
   bool empty_atom_ = false;  // some existence filter failed up front
 };
 
 /// Streams a worst-case-optimal join over a sequence of f-boxes: one
-/// JoinIterator run per box, internal buffers reused via Reset(), outputs
-/// in ascending lex order when the boxes are (Lemma 1 decompositions are).
+/// JoinIterator run per box, restarted via ResetToBox(), outputs in
+/// ascending lex order when the boxes are (Lemma 1 decompositions are).
 /// This is the range-restriction primitive for join-backed enumerators:
 /// BoxDecompose a lex interval, hand the boxes here, and the stream is the
 /// full join clipped to that interval — the direct-eval counterpart of the
@@ -163,8 +190,7 @@ class BoxJoinEnumerator : public TupleEnumerator {
   int num_levels_;
   std::vector<FBox> boxes_;
   size_t box_idx_ = 0;
-  std::optional<JoinIterator> join_;  // reused across boxes via Reset()
-  std::vector<LevelConstraint> constraints_;
+  std::optional<JoinIterator> join_;  // reused across boxes
   bool active_ = false;
 };
 

@@ -76,8 +76,9 @@ std::string Plan::Explain() const {
   }
   out += "\n";
   out +=
-      "index policy: point probes -> hash index (O(1) expected), lex-range "
-      "scans and count oracle -> sorted tries\n";
+      "index policy: isolated point probes -> hash index (O(1) expected); "
+      "enumeration split points -> hinted seeks of the request's forward "
+      "join cursor; lex-range scans and count oracle -> sorted tries\n";
   if (churn_per_request > 0)
     out += StrFormat(
         "churn: %.3g mutations/request priced into every candidate "

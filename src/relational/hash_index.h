@@ -1,8 +1,10 @@
 // HashIndex: a flat open-addressed membership index over a sealed relation.
 //
-// The index-selection policy of the probe path: *point* membership checks
-// (Relation::Contains, BoundAtom::ContainsValuation, the Algorithm 2 split
-// probe, the update-path derivability filter) route here; *lex-range*
+// The index-selection policy of the probe path: isolated *point* membership
+// checks (Relation::Contains, BoundAtom::ContainsValuation, the aggregate
+// walks' split points, the update-path derivability filter) route here;
+// Algorithm 2's enumeration split points are hinted seeks of the request's
+// forward join cursor instead (they arrive in lex order); *lex-range*
 // iteration and the O~(1) counting oracle stay on SortedIndex, which is the
 // only structure that can refine an ordered prefix. A sorted probe is
 // O(arity log N) branchy binary searches; a hash probe is one mixed hash,

@@ -167,6 +167,35 @@ TEST(IntegrationTest, TradeoffDelayGrowsWithTauOnHardIntersections) {
     ASSERT_TRUE(rep.ok());
     EXPECT_EQ(CollectAll(*rep.value()->Answer({1, 3})).size(), (size_t)k);
   }
+
+  // Non-empty hard case: sets 4 and 5 share only their first and last
+  // value, with k interleaved non-matches each in between. Without the
+  // dictionary the deepest-level merge steps through all of them to reach
+  // the second output, and every step must reach the op clock — a merge
+  // that advances without counting answers correctly but under-reports
+  // delay (and ops per tuple) to every bound check. The second output is
+  // found inside the first Next()'s staging block, so the worst delay
+  // carries the ops spent between the two outputs.
+  Database shared_ends;
+  Relation* s = shared_ends.AddRelation("R", 2);
+  for (int i = 0; i < k; ++i) {
+    s->Insert({4, (Value)(2 * i + 2)});
+    s->Insert({5, (Value)(2 * i + 1)});
+  }
+  for (Value end : {(Value)0, (Value)(2 * k + 1)}) {
+    s->Insert({4, end});
+    s->Insert({5, end});
+  }
+  s->Seal();
+  CompressedRepOptions copt;
+  copt.tau = 1e9;
+  auto rep = CompressedRep::Build(view, shared_ends, copt);
+  ASSERT_TRUE(rep.ok());
+  auto e = rep.value()->Answer({4, 5});
+  std::vector<Tuple> got;
+  DelayProfile p = MeasureEnumeration(*e, &got);
+  EXPECT_EQ(got, (std::vector<Tuple>{{0}, {(Value)(2 * k + 1)}}));
+  EXPECT_GE(p.max_delay_ops, (uint64_t)k / 2);
 }
 
 TEST(IntegrationTest, Theorem1VsTheorem2OnPath) {

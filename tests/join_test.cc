@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+
+#include "core/finterval.h"
 #include "join/bound_atom.h"
 #include "join/generic_join.h"
 #include "query/parser.h"
@@ -241,6 +245,174 @@ TEST(GenericJoinTest, ZeroLevelExistenceCheck) {
   miss.start = atom.SeekBound(Tuple{9});
   JoinIterator join2({miss}, 0, {});
   EXPECT_FALSE(join2.Next(&t));
+}
+
+// One JoinIterator reused through random restart sequences must emit, for
+// every box, exactly what a fresh iterator emits for it. The sequences mix
+// what Algorithm 2 feeds its request cursor (Lemma 1 boxes of ascending lex
+// intervals with unit boxes at the split points between them) with repeated
+// boxes and backward jumps, and stop some boxes mid-stream, so the hinted
+// restart rule is pinned from both sides: hint only while the parent runs
+// are unchanged, and only for targets >= the level's current value.
+TEST(GenericJoinTest, ReusedIteratorMatchesFreshAcrossResets) {
+  const std::vector<std::pair<std::string, std::vector<int>>> queries = {
+      {"Q(x,y,z) = R(x,y), S(y,z), T(z,x)", {2, 2, 2}},
+      {"Q(x1,x2,x3) = R(x2,x3), S(x1,x3), T(x1,x2)", {2, 2, 2}},
+      {"Q(x,y,z,w) = R(x,y,z), S(y,z,w), T(z,w,x), U(w,x,y)", {3, 3, 3, 3}},
+      {"Q(x,y,z,w) = R(x,y,z), S(x,z), T(z,w), U(y,w,x)", {3, 2, 2, 3}},
+  };
+  const char* names[] = {"R", "S", "T", "U"};
+  for (const auto& [text, arities] : queries) {
+    auto q = ParseConjunctiveQuery(text);
+    ASSERT_TRUE(q.ok());
+    const ConjunctiveQuery& cq = q.value();
+    const int n = cq.num_vars();
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed * 7919 + (uint64_t)n);
+      const Value dom = 5 + (Value)rng.Uniform(4);
+      Database db;
+      for (size_t a = 0; a < arities.size(); ++a) {
+        std::vector<Tuple> rows;
+        const int count = 40 + (int)rng.Uniform(80);
+        for (int i = 0; i < count; ++i) {
+          Tuple row;
+          for (int c = 0; c < arities[a]; ++c)
+            row.push_back(rng.UniformRange(1, dom));
+          rows.push_back(row);
+        }
+        AddRelation(db, names[a], arities[a], rows);
+      }
+      std::vector<VarId> order, none;
+      for (VarId v = 0; v < n; ++v) order.push_back(v);
+      std::vector<BoundAtom> atoms;
+      for (const Atom& atom : cq.atoms())
+        atoms.emplace_back(atom, *db.Find(atom.relation), none, order);
+      std::vector<JoinAtomInput> inputs;
+      for (const BoundAtom& atom : atoms) {
+        JoinAtomInput in;
+        in.index = &atom.bf_index();
+        in.start = atom.bf_index().Root();
+        for (int i = 0; i < atom.num_free(); ++i)
+          in.levels.emplace_back(atom.free_positions()[i], i);
+        inputs.push_back(std::move(in));
+      }
+
+      const std::vector<Tuple> results = OracleAllVars(cq, db);
+      // Half the points are join results, so unit boxes hit as often as
+      // they miss; the rest are anywhere in (and just outside) the domain.
+      auto random_point = [&] {
+        if (!results.empty() && rng.Bernoulli(0.5))
+          return results[rng.Uniform(results.size())];
+        Tuple t(n);
+        for (Value& v : t) v = rng.UniformRange(0, dom + 1);
+        return t;
+      };
+      // Boxes to run, in order; unit boxes are the split points.
+      std::vector<FBox> boxes;
+      auto add_interval = [&](const Tuple& lo, const Tuple& hi) {
+        if (LexDomain::Compare(lo, hi) > 0) return;
+        for (const FBox& box : BoxDecompose(FInterval{lo, hi}))
+          boxes.push_back(box);
+      };
+      auto add_point = [&](const Tuple& p) {
+        FBox box;
+        for (Value v : p) box.dims.push_back(FBoxDim::Unit(v));
+        boxes.push_back(std::move(box));
+      };
+      for (int round = 0; round < 4; ++round) {
+        // An ascending walk: intervals between sorted split points, each
+        // split point probed as a unit box in between.
+        std::vector<Tuple> cuts;
+        for (int i = 0; i < 6; ++i) cuts.push_back(random_point());
+        std::sort(cuts.begin(), cuts.end());
+        Tuple lo(n, kBottom);
+        for (const Tuple& cut : cuts) {
+          Tuple before = cut;
+          int i = n - 1;
+          while (i >= 0 && before[i] == kBottom) before[i--] = kTop;
+          if (i >= 0) {
+            --before[i];
+            add_interval(lo, before);
+          }
+          add_point(cut);
+          if (rng.Bernoulli(0.2)) add_point(cut);  // repeated box
+          // The same suffix under a neighbouring prefix value: a new run at
+          // some level, then targets equal to (or past) the deeper runs'
+          // old values, whose parents have changed.
+          Tuple moved = cut;
+          Value& at = moved[rng.Uniform(n - 1)];
+          at = rng.Bernoulli(0.5) ? at + 1 : (at > 0 ? at - 1 : at);
+          add_point(moved);
+          lo = cut;
+          i = n - 1;
+          while (i >= 0 && lo[i] == kTop) lo[i--] = kBottom;
+          if (i < 0) break;
+          ++lo[i];
+        }
+        // Backward jumps: a random interval and a random point anywhere.
+        Tuple a = random_point(), b = random_point();
+        if (b < a) std::swap(a, b);
+        add_interval(a, b);
+        if (rng.Bernoulli(0.5)) {
+          FBox again = boxes[rng.Uniform(boxes.size())];
+          boxes.push_back(std::move(again));
+        }
+        add_point(random_point());
+      }
+
+      std::optional<JoinIterator> reused;
+      TupleBuffer got(n), want(n);
+      Tuple t;
+      for (size_t b = 0; b < boxes.size(); ++b) {
+        const FBox& box = boxes[b];
+        std::vector<LevelConstraint> c;
+        Tuple point;
+        for (const FBoxDim& d : box.dims) {
+          c.push_back(LevelConstraint::FromDim(d));
+          if (d.kind == FBoxDim::kUnit) point.push_back(d.lo);
+        }
+        if (!reused.has_value()) {
+          reused.emplace(&inputs, n, c);
+        } else if ((int)point.size() == n && rng.Bernoulli(0.5)) {
+          reused->ResetToPoint(point);
+        } else {
+          reused->ResetToBox(box);
+        }
+        want.Clear();
+        for (const Tuple& r : results)
+          if (box.Contains(r)) want.Append(r);
+        JoinIterator fresh(&inputs, n, c);
+        std::vector<Tuple> fresh_out;
+        while (fresh.Next(&t)) fresh_out.push_back(t);
+        ASSERT_EQ(fresh_out, want.ToTuples());
+        // Drain through a random mix of Next and NextBatch; sometimes stop
+        // early, leaving the cursor mid-box for the next restart.
+        const size_t limit =
+            rng.Bernoulli(0.25) ? rng.Uniform(want.size() + 1) : want.size();
+        got.Clear();
+        while (got.size() < limit) {
+          if (rng.Bernoulli(0.3)) {
+            if (!reused->Next(&t)) break;
+            got.Append(t);
+          } else {
+            const size_t ask = 1 + rng.Uniform(8);
+            if (reused->NextBatch(&got, ask) < ask) break;
+          }
+        }
+        const std::string where =
+            text + " seed " + std::to_string(seed) + " box " +
+            std::to_string(b);
+        ASSERT_GE(got.size(), limit) << where;
+        ASSERT_LE(got.size(), want.size()) << where;
+        for (size_t i = 0; i < got.size(); ++i)
+          ASSERT_EQ(got[i].ToTuple(), want[i].ToTuple()) << where << " row "
+                                                         << i;
+        if (limit == want.size()) {
+          ASSERT_EQ(reused->NextBatch(&got, 4), 0u) << where;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

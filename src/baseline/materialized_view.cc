@@ -9,43 +9,6 @@
 #include "util/timer.h"
 
 namespace cqc {
-namespace {
-
-class SuffixScanEnumerator : public TupleEnumerator {
- public:
-  SuffixScanEnumerator(const SortedIndex* index, RowRange range, int from,
-                       int to)
-      : index_(index), range_(range), from_(from), to_(to),
-        row_(range.begin) {}
-  bool Next(Tuple* out) override {
-    if (row_ >= range_.end) return false;
-    out->resize(to_ - from_);
-    for (int l = from_; l < to_; ++l)
-      (*out)[l - from_] = index_->ValueAt(l, row_);
-    ++row_;
-    return true;
-  }
-
-  size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
-    size_t n = 0;
-    while (n < max_tuples && row_ < range_.end) {
-      Value* slot = out->AppendSlot();
-      for (int l = from_; l < to_; ++l)
-        slot[l - from_] = index_->ValueAt(l, row_);
-      ++row_;
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  const SortedIndex* index_;
-  RowRange range_;
-  int from_, to_;
-  size_t row_;
-};
-
-}  // namespace
 
 Result<std::unique_ptr<MaterializedView>> MaterializedView::Build(
     const AdornedView& view, const Database& db, const Database* aux_db) {
@@ -110,7 +73,7 @@ std::unique_ptr<TupleEnumerator> MaterializedView::Answer(
   for (int i = 0; i < nb && !r.empty(); ++i)
     r = index_->Refine(r, i, vb[i]);
   if (r.empty()) return std::make_unique<EmptyEnumerator>();
-  return std::make_unique<SuffixScanEnumerator>(index_, r, nb, k);
+  return std::make_unique<RangeScanEnumerator>(index_, r, nb, k);
 }
 
 bool MaterializedView::AnswerExists(const BoundValuation& vb) const {

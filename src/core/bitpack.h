@@ -134,9 +134,6 @@ class PackedTuplePool {
            plan_.capacity() * sizeof(simd::PackedColSpec);
   }
 
-  /// True when the word block borrows external (mapped) storage.
-  bool borrowed() const { return words_.borrowed(); }
-
   // Serialization raw parts.
   const std::vector<uint8_t>& widths() const { return widths_; }
   const ColStore<uint64_t>& words() const { return words_; }

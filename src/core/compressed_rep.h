@@ -74,7 +74,7 @@ struct CompressedRepStats {
   size_t hash_index_bytes = 0;  // hash probe plans over the base relations
   size_t agg_bytes = 0;         // aggregate annotation columns (if built)
   // Bytes of tree_bytes/dict_bytes that live in an mmap'ed rep file rather
-  // than on the heap (zero-copy loads only). These count toward TotalBytes
+  // than on the heap (loaded reps only). These count toward TotalBytes
   // (the logical footprint) but their *physical* cost is whatever the OS
   // has paged in — see CompressedRep::ResidentBytes().
   size_t mapped_bytes = 0;
@@ -156,8 +156,8 @@ class CompressedRep {
 
   /// Physical memory charge right now: the heap component of TotalBytes()
   /// plus the resident (paged-in) bytes of the backing mapping, if any.
-  /// For built or heap-loaded reps this equals TotalBytes(); for a
-  /// zero-copy load it starts near zero and grows as queries touch pages.
+  /// For built reps this equals TotalBytes(); for a loaded rep it starts
+  /// near zero and grows as queries touch pages.
   size_t ResidentBytes() const {
     const size_t total = stats_.TotalBytes();
     const size_t heap =
@@ -165,8 +165,7 @@ class CompressedRep {
     return heap + (backing_ ? backing_->ResidentBytes() : 0);
   }
 
-  /// The mmap'ed file backing borrowed columns (null for built or
-  /// heap-loaded reps).
+  /// The snapshot file backing borrowed columns (null for built reps).
   const std::shared_ptr<RepFile>& backing() const { return backing_; }
   const LexDomain& domain() const { return domain_; }
   const DelayBalancedTree& tree() const { return tree_; }
@@ -204,14 +203,8 @@ class CompressedRep {
   void BuildAggregates();
 
   friend Status SaveCompressedRep(const CompressedRep&, const std::string&);
-  friend Result<std::unique_ptr<CompressedRep>> LoadCompressedRep(
-      const AdornedView&, const Database&, const std::string&,
-      const Database*);
-  friend Result<std::unique_ptr<CompressedRep>> MmapCompressedRep(
-      const AdornedView&, const Database&, const std::string&,
-      const Database*);
-  // Shared loader internals (serialization.cc): validates the parsed
-  // blocks and moves them into a skeleton rep for both load paths.
+  // The loader (serialization.cc): validates the file's blocks and moves
+  // them into a skeleton rep.
   friend class RepSerde;
 
   class Alg2Enumerator;
@@ -226,7 +219,7 @@ class CompressedRep {
   HeavyDictionary dict_;
   CompressedRepStats stats_;
   // Keeps the mapping alive for as long as any borrowed column can be
-  // read (zero-copy loads only; null otherwise).
+  // read (loaded reps only; null otherwise).
   std::shared_ptr<RepFile> backing_;
 };
 

@@ -125,9 +125,6 @@ class DelayBalancedTree {
   const ColStore<uint64_t>& agg_counts() const { return agg_count_; }
   const ColStore<Value>& agg_vals_pool() const { return agg_vals_; }
 
-  /// True when any column borrows external (mapped) storage.
-  bool borrowed() const { return beta_.borrowed() || left_.borrowed(); }
-
   /// Level threshold tau_l = tau * 2^(-l (1 - 1/alpha)).
   static double Threshold(double tau, double alpha, int level);
 

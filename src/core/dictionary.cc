@@ -44,10 +44,10 @@ void HeavyDictionary::AttachAggregates(ColStore<uint64_t> counts,
 uint32_t HeavyDictionary::FindValuation(TupleSpan vb) const {
   if (num_candidates_ == 0 || (int)vb.size() != vb_arity_)
     return kNoValuation;
-  // Zero-copy loads defer the id table to the first probe (the pool can
-  // hold millions of candidates the caller may never look up); call_once
-  // makes concurrent first probes safe. Built dictionaries and heap loads
-  // pay only the null test.
+  // Loaded dictionaries defer the id table to the first probe (the pool
+  // can hold millions of candidates the caller may never look up);
+  // call_once makes concurrent first probes safe. Built dictionaries pay
+  // only the null test.
   if (deferred_slots_)
     std::call_once(*deferred_slots_, [this] { BuildIdSlots(); });
   const size_t mask = id_slots_.size() - 1;
@@ -211,13 +211,9 @@ HeavyDictionary HeavyDictionary::FromPacked(
   d.entry_vb_ = std::move(entry_vb);
   d.entry_bit_ = std::move(entry_bit);
   d.sealed_ = true;  // already packed: skip Seal()'s repack
-  if (d.borrowed()) {
-    // Zero-copy load: defer the O(candidates) id table build to the first
-    // FindValuation so opening the file stays O(header).
-    d.deferred_slots_ = std::make_unique<std::once_flag>();
-  } else {
-    d.BuildIdSlots();  // hashes decode from the packed pool (raw is empty)
-  }
+  // Defer the O(candidates) id table build to the first FindValuation so
+  // opening a snapshot stays O(header).
+  d.deferred_slots_ = std::make_unique<std::once_flag>();
   return d;
 }
 

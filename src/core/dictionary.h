@@ -154,10 +154,9 @@ class HeavyDictionary {
 
   /// Same, but directly from an already-packed pool (the deserialization
   /// path — no unpack/repack round trip). The CSR columns may be owned
-  /// (vectors convert implicitly) or borrowed from a mapping; when any
-  /// input borrows, the id table build is DEFERRED to the first
-  /// FindValuation (std::call_once), keeping a zero-copy open O(header)
-  /// instead of O(candidates).
+  /// (vectors convert implicitly) or borrowed from a mapping. The id
+  /// table build is DEFERRED to the first FindValuation (std::call_once),
+  /// keeping a snapshot load O(header) instead of O(candidates).
   static HeavyDictionary FromPacked(int vb_arity, size_t num_candidates,
                                     PackedTuplePool pool,
                                     ColStore<uint32_t> node_offsets,
@@ -196,12 +195,6 @@ class HeavyDictionary {
     return entry_agg_vals_;
   }
 
-  /// True when any column borrows external (mapped) storage.
-  bool borrowed() const {
-    return packed_pool_.borrowed() || node_offsets_.borrowed() ||
-           entry_vb_.borrowed() || entry_bit_.borrowed();
-  }
-
   /// Freezes the structure: bit-packs the candidate pool (dropping the raw
   /// build-time copy) and makes any later AddCandidate / RehashCandidates
   /// a contract violation (enumeration must never mutate a shared
@@ -234,18 +227,18 @@ class HeavyDictionary {
   PackedTuplePool packed_pool_;
   // Open-addressed hash table: slot -> candidate id (kNoValuation = empty).
   // Power-of-two size, linear probing against pool rows. Derived state (a
-  // cache over the pool), hence mutable: the zero-copy load defers its
+  // cache over the pool), hence mutable: a snapshot load defers its
   // construction to the first FindValuation so opening stays O(header).
   mutable std::vector<uint32_t> id_slots_;
-  // Non-null iff the id table build is still pending (zero-copy loads
-  // only). call_once makes the lazy build safe under concurrent probes;
-  // heap loads and the builder leave this null and build eagerly, so the
-  // hot probe path costs one null test.
+  // Non-null iff the dictionary came from FromPacked (snapshot loads):
+  // the id table is built on the first probe. call_once makes the lazy
+  // build safe under concurrent probes; the builder leaves this null and
+  // builds eagerly, so the hot probe path costs one null test.
   std::unique_ptr<std::once_flag> deferred_slots_;
 
   // CSR entries: node_offsets_[n] .. node_offsets_[n+1] index the parallel
   // entry columns, sorted by valuation id within each node. Owned after a
-  // build or heap load; borrowed from the mapping on a zero-copy load.
+  // build; borrowed from the snapshot file on a load.
   ColStore<uint32_t> node_offsets_;
   ColStore<uint32_t> entry_vb_;
   ColStore<uint8_t> entry_bit_;

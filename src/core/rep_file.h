@@ -1,5 +1,5 @@
 // RepFile: a read-only handle over a rep container file, backing the
-// zero-copy load path (core/serialization.h, MmapCompressedRep).
+// snapshot loader (core/serialization.h, LoadCompressedRep).
 //
 // On POSIX systems the file is mmap'ed PROT_READ / MAP_PRIVATE: opening is
 // O(1) regardless of file size, the structures borrow their columns
@@ -44,8 +44,6 @@ class RepFile {
   const uint8_t* data() const { return data_; }
   size_t size() const { return size_; }
   const std::string& path() const { return path_; }
-  /// True when the handle is a real mapping (false on the heap fallback).
-  bool mapped() const { return map_ != nullptr; }
 
   /// Bytes of the mapping currently resident in physical memory (mincore
   /// page sweep; the heap fallback and platforms without mincore report

@@ -15,11 +15,10 @@ namespace {
 // Format 05: every payload block is a flat raw array, 64-byte-aligned in
 // the file, located through an (offset, count) directory in the header.
 // Alignment + raw storage (the v03 per-row delta varints for the entry ids
-// are gone) make each block directly usable in place, so the mmap loader
-// can borrow columns out of the file with zero decode; the heap loader
-// reads the same blocks into owned vectors. v05 appends four optional
-// aggregate-annotation blocks (per-node / per-entry ring cells) so a
-// rep built with aggregates answers them zero-copy after an mmap open.
+// are gone) make each block directly usable in place, so the loader
+// borrows every column out of the file with zero decode. v05 appends four
+// optional aggregate-annotation blocks (per-node / per-entry ring cells)
+// so a rep built with aggregates answers them zero-copy after a load.
 constexpr char kMagic[8] = {'C', 'Q', 'C', 'R', 'E', 'P', '0', '5'};
 
 // The fixed block order. num_nodes is recovered as dir[kBlockLeft].count
@@ -83,16 +82,7 @@ void Put(std::ostream& out, T v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
 }
 
-// The header is parsed identically from a stream (heap load) and from
-// mapped memory (zero-copy load); both readers expose one primitive.
-struct StreamReader {
-  std::istream& in;
-  bool ReadRaw(void* p, size_t n) {
-    in.read(static_cast<char*>(p), (std::streamsize)n);
-    return in.good();
-  }
-};
-
+// Bounds-checked sequential reader over the file bytes (the header parse).
 struct MemReader {
   const uint8_t* data;
   size_t size;
@@ -105,18 +95,18 @@ struct MemReader {
   }
 };
 
-template <typename Reader, typename T>
-bool Get(Reader& r, T* v) {
+template <typename T>
+bool Get(MemReader& r, T* v) {
   return r.ReadRaw(v, sizeof(T));
 }
 
 /// Parses and sanity-checks the header (everything that needs no database:
 /// magic, parameter finiteness, shape bounds, the block directory against
-/// the file extent). `file_size` is computed ONCE by the caller — blocks
-/// are validated against it here, so neither loader ever re-stats the file
-/// or trusts a claimed length it cannot hold.
-template <typename Reader>
-Status ReadHeader(Reader& r, uint64_t file_size, Header* h) {
+/// the file extent). Every block is validated against the file size here,
+/// so the loader never trusts a claimed length the file cannot hold.
+Status ReadHeader(const RepFile& f, Header* h) {
+  const uint64_t file_size = f.size();
+  MemReader r{f.data(), f.size()};
   char magic[8];
   if (!r.ReadRaw(magic, sizeof(magic)) ||
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
@@ -164,9 +154,8 @@ Status ReadHeader(Reader& r, uint64_t file_size, Header* h) {
 
   // Directory validation against the file extent. Blocks are laid out in
   // order, aligned, non-overlapping; a count that cannot fit between its
-  // offset and EOF is rejected BEFORE any allocation or read, so a corrupt
-  // length yields a clean error, never a bad_alloc or an out-of-bounds map
-  // access.
+  // offset and EOF is rejected BEFORE any column is borrowed, so a corrupt
+  // length yields a clean error, never an out-of-bounds read.
   uint64_t prev_end = h->ByteSize();
   for (int b = 0; b < kNumBlocks; ++b) {
     const BlockDir& d = h->dir[b];
@@ -184,46 +173,36 @@ Status ReadHeader(Reader& r, uint64_t file_size, Header* h) {
   return Status::Ok();
 }
 
-/// The loaded columns, owned (heap loader) or borrowed (mmap loader);
-/// vectors convert into ColStore implicitly. `widths` is always owned —
-/// it is a handful of bytes and PackedTuplePool keeps its own copy.
-struct RawParts {
-  ColStore<Value> beta;
-  ColStore<int32_t> left, right;
-  ColStore<float> cost;
-  ColStore<uint16_t> level;
-  ColStore<uint8_t> leaf;
-  std::vector<uint8_t> widths;
-  ColStore<uint64_t> words;
-  ColStore<uint32_t> offsets;
-  ColStore<uint32_t> entry_vb;
-  ColStore<uint8_t> entry_bit;
-  ColStore<uint64_t> tree_agg_count;
-  ColStore<Value> tree_agg_vals;
-  ColStore<uint64_t> entry_agg_count;
-  ColStore<Value> entry_agg_vals;
-};
+/// Borrowed view of one directory block straight out of the file. The
+/// 64-byte file alignment plus the RepFile base (page-aligned when mapped,
+/// malloc-aligned on the read fallback) make the reinterpret_cast
+/// well-aligned for every element type used here (at most 8 bytes).
+template <typename T>
+ColStore<T> BorrowBlock(const RepFile& f, const BlockDir& d) {
+  if (d.count == 0) return ColStore<T>();
+  return ColStore<T>::Borrow(reinterpret_cast<const T*>(f.data() + d.offset),
+                             (size_t)d.count);
+}
 
 }  // namespace
 
-/// Shared loader internals, friended by CompressedRep. Assemble() builds
-/// the skeleton (view/database resolution), cross-checks every column
-/// against the header shape and the structures' invariants, then moves the
-/// parts into the rep. O(header + tree nodes + dictionary entries) — the
-/// packed pool words are count-checked but never scanned, which is what
-/// keeps a zero-copy open independent of the candidate pool size.
+/// Loader internals, friended by CompressedRep. Assemble() builds the
+/// skeleton (view/database resolution), borrows every column out of
+/// `file`, cross-checks each against the header shape and the structures'
+/// invariants, then moves the columns into the rep, which keeps `file`
+/// alive. O(header + tree nodes + dictionary entries) — the packed pool
+/// words are count-checked but never scanned, which is what keeps a load
+/// independent of the candidate pool size.
 class RepSerde {
  public:
   static Result<std::unique_ptr<CompressedRep>> Assemble(
       const AdornedView& view, const Database& db, const Database* aux_db,
-      const Header& h, RawParts&& p, std::shared_ptr<RepFile> backing,
-      size_t mapped_bytes);
+      const Header& h, std::shared_ptr<RepFile> file);
 };
 
 Result<std::unique_ptr<CompressedRep>> RepSerde::Assemble(
     const AdornedView& view, const Database& db, const Database* aux_db,
-    const Header& h, RawParts&& p, std::shared_ptr<RepFile> backing,
-    size_t mapped_bytes) {
+    const Header& h, std::shared_ptr<RepFile> file) {
   Result<std::unique_ptr<CompressedRep>> skeleton =
       CompressedRep::MakeSkeleton(view, db, h.cover, h.tau, aux_db);
   if (!skeleton.ok()) return skeleton.status();
@@ -240,84 +219,108 @@ Result<std::unique_ptr<CompressedRep>> RepSerde::Assemble(
           "relation content mismatch: file built over different data");
   }
 
+  const RepFile& f = *file;
+  ColStore<Value> beta = BorrowBlock<Value>(f, h.dir[kBlockBeta]);
+  ColStore<int32_t> left = BorrowBlock<int32_t>(f, h.dir[kBlockLeft]);
+  ColStore<int32_t> right = BorrowBlock<int32_t>(f, h.dir[kBlockRight]);
+  ColStore<float> cost = BorrowBlock<float>(f, h.dir[kBlockCost]);
+  ColStore<uint16_t> level = BorrowBlock<uint16_t>(f, h.dir[kBlockLevel]);
+  ColStore<uint8_t> leaf = BorrowBlock<uint8_t>(f, h.dir[kBlockLeaf]);
+  // Widths are a handful of bytes and the pool wants its own copy anyway.
+  const BlockDir& wd = h.dir[kBlockWidths];
+  std::vector<uint8_t> widths(f.data() + wd.offset,
+                              f.data() + wd.offset + wd.count);
+  ColStore<uint64_t> words = BorrowBlock<uint64_t>(f, h.dir[kBlockWords]);
+  ColStore<uint32_t> offsets = BorrowBlock<uint32_t>(f, h.dir[kBlockOffsets]);
+  ColStore<uint32_t> entry_vb = BorrowBlock<uint32_t>(f, h.dir[kBlockEntryVb]);
+  ColStore<uint8_t> entry_bit = BorrowBlock<uint8_t>(f, h.dir[kBlockEntryBit]);
+  ColStore<uint64_t> tree_agg_count =
+      BorrowBlock<uint64_t>(f, h.dir[kBlockTreeAggCount]);
+  ColStore<Value> tree_agg_vals =
+      BorrowBlock<Value>(f, h.dir[kBlockTreeAggVals]);
+  ColStore<uint64_t> entry_agg_count =
+      BorrowBlock<uint64_t>(f, h.dir[kBlockEntryAggCount]);
+  ColStore<Value> entry_agg_vals =
+      BorrowBlock<Value>(f, h.dir[kBlockEntryAggVals]);
+
   // Tree columns.
-  const size_t num_nodes = p.left.size();
-  if (p.right.size() != num_nodes || p.cost.size() != num_nodes ||
-      p.level.size() != num_nodes || p.leaf.size() != num_nodes ||
-      p.beta.size() != num_nodes * (size_t)h.mu)
+  const size_t num_nodes = left.size();
+  if (right.size() != num_nodes || cost.size() != num_nodes ||
+      level.size() != num_nodes || leaf.size() != num_nodes ||
+      beta.size() != num_nodes * (size_t)h.mu)
     return Status::Error("inconsistent tree column lengths");
   for (size_t i = 0; i < num_nodes; ++i) {
     // Children live at strictly higher preorder ids: also rules out link
     // cycles, which would hang the traversal on a corrupt file.
-    if (p.left[i] >= (int64_t)num_nodes || p.right[i] >= (int64_t)num_nodes ||
-        (p.left[i] >= 0 && p.left[i] <= (int64_t)i) ||
-        (p.right[i] >= 0 && p.right[i] <= (int64_t)i))
+    if (left[i] >= (int64_t)num_nodes || right[i] >= (int64_t)num_nodes ||
+        (left[i] >= 0 && left[i] <= (int64_t)i) ||
+        (right[i] >= 0 && right[i] <= (int64_t)i))
       return Status::Error("corrupt tree links");
     // Non-leaf split points must be grid tuples: the traversal takes their
     // grid successor/predecessor, which CHECK-aborts off the grid.
-    if (!p.leaf[i]) {
+    if (!leaf[i]) {
       for (uint32_t d = 0; d < h.mu; ++d) {
-        if (rep->domain_.IndexOf((int)d, p.beta[i * h.mu + d]) < 0)
+        if (rep->domain_.IndexOf((int)d, beta[i * h.mu + d]) < 0)
           return Status::Error("corrupt split point (off-grid value)");
       }
     }
   }
 
   // Dictionary columns.
-  if (p.widths.size() != h.vb_arity)
+  if (widths.size() != h.vb_arity)
     return Status::Error("bad candidate pool widths");
   size_t row_bits = 0;
-  for (uint8_t w : p.widths) {
+  for (uint8_t w : widths) {
     if (w > 64) return Status::Error("bad candidate pool widths");
     row_bits += w;
   }
   const uint64_t payload_bits = h.num_candidates * row_bits;
-  if (p.words.size() != (payload_bits == 0 ? 0 : (payload_bits + 63) / 64 + 1))
+  if (words.size() != (payload_bits == 0 ? 0 : (payload_bits + 63) / 64 + 1))
     return Status::Error("bad candidate pool length");
-  if (p.offsets.size() != num_nodes + 1 &&
-      !(p.offsets.empty() && num_nodes == 0))
+  if (offsets.size() != num_nodes + 1 &&
+      !(offsets.empty() && num_nodes == 0))
     return Status::Error("bad dictionary offsets length");
-  if (!p.offsets.empty()) {
-    if (p.offsets.front() != 0)
+  if (!offsets.empty()) {
+    if (offsets.front() != 0)
       return Status::Error("corrupt dictionary offsets");
-    for (size_t n = 0; n + 1 < p.offsets.size(); ++n)
-      if (p.offsets[n] > p.offsets[n + 1])
+    for (size_t n = 0; n + 1 < offsets.size(); ++n)
+      if (offsets[n] > offsets[n + 1])
         return Status::Error("corrupt dictionary offsets");
-    if ((size_t)p.offsets.back() != p.entry_vb.size())
+    if ((size_t)offsets.back() != entry_vb.size())
       return Status::Error("corrupt dictionary offsets");
-  } else if (!p.entry_vb.empty()) {
+  } else if (!entry_vb.empty()) {
     return Status::Error("dictionary entries without offsets");
   }
-  if (p.entry_vb.size() != p.entry_bit.size())
+  if (entry_vb.size() != entry_bit.size())
     return Status::Error("inconsistent dictionary entry columns");
   // Within a node's slice ids must be strictly ascending (the lookups
   // binary-search it) and name real candidates.
-  for (size_t n = 0; n + 1 < p.offsets.size(); ++n) {
-    for (uint32_t i = p.offsets[n]; i < p.offsets[n + 1]; ++i) {
-      if (p.entry_vb[i] >= h.num_candidates ||
-          (i > p.offsets[n] && p.entry_vb[i] <= p.entry_vb[i - 1]))
+  for (size_t n = 0; n + 1 < offsets.size(); ++n) {
+    for (uint32_t i = offsets[n]; i < offsets[n + 1]; ++i) {
+      if (entry_vb[i] >= h.num_candidates ||
+          (i > offsets[n] && entry_vb[i] <= entry_vb[i - 1]))
         return Status::Error("corrupt dictionary ordering");
     }
   }
   // The flag column is addressed as a boolean; a bit flip in the file must
   // not smuggle other values into it.
-  for (size_t i = 0; i < p.entry_bit.size(); ++i)
-    if (p.entry_bit[i] > 1)
+  for (size_t i = 0; i < entry_bit.size(); ++i)
+    if (entry_bit[i] > 1)
       return Status::Error("corrupt dictionary entry bits");
 
   // Aggregate annotations: each family is all-or-nothing (a count column
   // without its ring cells — or vice versa — is a corrupt file, not a
   // half-annotated rep) and its lengths are fully determined by the shape.
-  const bool tree_agg = !p.tree_agg_count.empty() || !p.tree_agg_vals.empty();
+  const bool tree_agg = !tree_agg_count.empty() || !tree_agg_vals.empty();
   if (tree_agg &&
-      (p.tree_agg_count.size() != num_nodes ||
-       p.tree_agg_vals.size() != num_nodes * 3 * (size_t)h.mu))
+      (tree_agg_count.size() != num_nodes ||
+       tree_agg_vals.size() != num_nodes * 3 * (size_t)h.mu))
     return Status::Error("inconsistent tree aggregate annotation lengths");
   const bool entry_agg =
-      !p.entry_agg_count.empty() || !p.entry_agg_vals.empty();
+      !entry_agg_count.empty() || !entry_agg_vals.empty();
   if (entry_agg &&
-      (p.entry_agg_count.size() != p.entry_vb.size() ||
-       p.entry_agg_vals.size() != p.entry_vb.size() * 3 * (size_t)h.mu))
+      (entry_agg_count.size() != entry_vb.size() ||
+       entry_agg_vals.size() != entry_vb.size() * 3 * (size_t)h.mu))
     return Status::Error("inconsistent entry aggregate annotation lengths");
   if (tree_agg && entry_agg)
     return Status::Error("aggregate annotations on both tree and dictionary");
@@ -327,21 +330,21 @@ Result<std::unique_ptr<CompressedRep>> RepSerde::Assemble(
     return Status::Error("entry aggregate annotations on a free view");
 
   rep->tree_ = DelayBalancedTree::FromFlat(
-      (int)h.mu, std::move(p.beta), std::move(p.left), std::move(p.right),
-      std::move(p.cost), std::move(p.level), std::move(p.leaf));
+      (int)h.mu, std::move(beta), std::move(left), std::move(right),
+      std::move(cost), std::move(level), std::move(leaf));
   rep->dict_ = HeavyDictionary::FromPacked(
       (int)h.vb_arity, (size_t)h.num_candidates,
       PackedTuplePool::FromFlatParts((int)h.vb_arity,
                                      (size_t)h.num_candidates,
-                                     std::move(p.widths), std::move(p.words)),
-      std::move(p.offsets), std::move(p.entry_vb), std::move(p.entry_bit));
+                                     std::move(widths), std::move(words)),
+      std::move(offsets), std::move(entry_vb), std::move(entry_bit));
   if (tree_agg)
-    rep->tree_.AttachAggregates(std::move(p.tree_agg_count),
-                                std::move(p.tree_agg_vals));
+    rep->tree_.AttachAggregates(std::move(tree_agg_count),
+                                std::move(tree_agg_vals));
   if (entry_agg)
-    rep->dict_.AttachAggregates(std::move(p.entry_agg_count),
-                                std::move(p.entry_agg_vals), (int)h.mu);
-  rep->backing_ = std::move(backing);
+    rep->dict_.AttachAggregates(std::move(entry_agg_count),
+                                std::move(entry_agg_vals), (int)h.mu);
+  rep->backing_ = std::move(file);
 
   // Refresh stats that depend on the loaded parts.
   CompressedRepStats& s = rep->stats_;
@@ -358,35 +361,12 @@ Result<std::unique_ptr<CompressedRep>> RepSerde::Assemble(
   if (entry_agg)
     s.agg_bytes = rep->dict_.entry_agg_counts().ByteSize() +
                   rep->dict_.entry_agg_vals_pool().ByteSize();
-  s.mapped_bytes = mapped_bytes;
+  s.mapped_bytes = 0;
+  for (int b = 0; b < kNumBlocks; ++b)
+    if (b != kBlockWidths)
+      s.mapped_bytes += (size_t)h.dir[b].count * kBlockElemSize[b];
   return rep;
 }
-
-namespace {
-
-/// Owned read of one directory block. The count was already validated
-/// against the file extent by ReadHeader, so the resize is safe.
-template <typename T>
-bool ReadBlockAt(std::ifstream& in, const BlockDir& d, std::vector<T>* v) {
-  v->resize(d.count);
-  if (d.count == 0) return true;
-  in.clear();
-  in.seekg((std::streamoff)d.offset);
-  in.read(reinterpret_cast<char*>(v->data()), d.count * sizeof(T));
-  return in.good();
-}
-
-/// Borrowed view of one directory block straight out of the mapping. The
-/// 64-byte file alignment plus the page-aligned mapping base make the
-/// reinterpret_cast well-aligned for every element type used here.
-template <typename T>
-ColStore<T> BorrowBlock(const RepFile& f, const BlockDir& d) {
-  if (d.count == 0) return ColStore<T>();
-  return ColStore<T>::Borrow(reinterpret_cast<const T*>(f.data() + d.offset),
-                             (size_t)d.count);
-}
-
-}  // namespace
 
 Status SaveCompressedRep(const CompressedRep& rep, const std::string& path) {
   const DelayBalancedTree& tree = rep.tree_;
@@ -499,107 +479,14 @@ Status SaveCompressedRep(const CompressedRep& rep, const std::string& path) {
 Result<std::unique_ptr<CompressedRep>> LoadCompressedRep(
     const AdornedView& view, const Database& db, const std::string& path,
     const Database* aux_db) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return Status::Error("cannot open " + path);
-  // The file extent, computed exactly once: every block length below is
-  // validated against it (ReadHeader), so no per-block re-stat happens and
-  // the header parse itself never seeks.
-  in.seekg(0, std::ios::end);
-  const std::streamoff extent = in.tellg();
-  if (extent < 0) return Status::Error("cannot stat " + path);
-  in.seekg(0);
-
-  Header h;
-  StreamReader r{in};
-  Status st = ReadHeader(r, (uint64_t)extent, &h);
-  if (!st.ok()) return Status::Error(path + ": " + st.message());
-
-  RawParts p;
-  std::vector<Value> beta;
-  std::vector<int32_t> left, right;
-  std::vector<float> cost;
-  std::vector<uint16_t> level;
-  std::vector<uint8_t> leaf;
-  std::vector<uint64_t> words;
-  std::vector<uint32_t> offsets, entry_vb;
-  std::vector<uint8_t> entry_bit;
-  std::vector<uint64_t> tree_agg_count, entry_agg_count;
-  std::vector<Value> tree_agg_vals, entry_agg_vals;
-  if (!ReadBlockAt(in, h.dir[kBlockBeta], &beta) ||
-      !ReadBlockAt(in, h.dir[kBlockLeft], &left) ||
-      !ReadBlockAt(in, h.dir[kBlockRight], &right) ||
-      !ReadBlockAt(in, h.dir[kBlockCost], &cost) ||
-      !ReadBlockAt(in, h.dir[kBlockLevel], &level) ||
-      !ReadBlockAt(in, h.dir[kBlockLeaf], &leaf))
-    return Status::Error("truncated tree");
-  if (!ReadBlockAt(in, h.dir[kBlockWidths], &p.widths) ||
-      !ReadBlockAt(in, h.dir[kBlockWords], &words) ||
-      !ReadBlockAt(in, h.dir[kBlockOffsets], &offsets) ||
-      !ReadBlockAt(in, h.dir[kBlockEntryVb], &entry_vb) ||
-      !ReadBlockAt(in, h.dir[kBlockEntryBit], &entry_bit))
-    return Status::Error("truncated dictionary");
-  if (!ReadBlockAt(in, h.dir[kBlockTreeAggCount], &tree_agg_count) ||
-      !ReadBlockAt(in, h.dir[kBlockTreeAggVals], &tree_agg_vals) ||
-      !ReadBlockAt(in, h.dir[kBlockEntryAggCount], &entry_agg_count) ||
-      !ReadBlockAt(in, h.dir[kBlockEntryAggVals], &entry_agg_vals))
-    return Status::Error("truncated aggregate annotations");
-  p.beta = std::move(beta);
-  p.left = std::move(left);
-  p.right = std::move(right);
-  p.cost = std::move(cost);
-  p.level = std::move(level);
-  p.leaf = std::move(leaf);
-  p.words = std::move(words);
-  p.offsets = std::move(offsets);
-  p.entry_vb = std::move(entry_vb);
-  p.entry_bit = std::move(entry_bit);
-  p.tree_agg_count = std::move(tree_agg_count);
-  p.tree_agg_vals = std::move(tree_agg_vals);
-  p.entry_agg_count = std::move(entry_agg_count);
-  p.entry_agg_vals = std::move(entry_agg_vals);
-  return RepSerde::Assemble(view, db, aux_db, h, std::move(p), nullptr, 0);
-}
-
-Result<std::unique_ptr<CompressedRep>> MmapCompressedRep(
-    const AdornedView& view, const Database& db, const std::string& path,
-    const Database* aux_db) {
   Result<std::shared_ptr<RepFile>> open = RepFile::Open(path);
   if (!open.ok()) return open.status();
   std::shared_ptr<RepFile> file = std::move(open).value();
 
   Header h;
-  MemReader r{file->data(), file->size()};
-  Status st = ReadHeader(r, (uint64_t)file->size(), &h);
+  Status st = ReadHeader(*file, &h);
   if (!st.ok()) return Status::Error(path + ": " + st.message());
-
-  RawParts p;
-  p.beta = BorrowBlock<Value>(*file, h.dir[kBlockBeta]);
-  p.left = BorrowBlock<int32_t>(*file, h.dir[kBlockLeft]);
-  p.right = BorrowBlock<int32_t>(*file, h.dir[kBlockRight]);
-  p.cost = BorrowBlock<float>(*file, h.dir[kBlockCost]);
-  p.level = BorrowBlock<uint16_t>(*file, h.dir[kBlockLevel]);
-  p.leaf = BorrowBlock<uint8_t>(*file, h.dir[kBlockLeaf]);
-  // Widths are a handful of bytes and the pool wants its own copy anyway.
-  const BlockDir& wd = h.dir[kBlockWidths];
-  if (wd.count > 0)
-    p.widths.assign(file->data() + wd.offset,
-                    file->data() + wd.offset + wd.count);
-  p.words = BorrowBlock<uint64_t>(*file, h.dir[kBlockWords]);
-  p.offsets = BorrowBlock<uint32_t>(*file, h.dir[kBlockOffsets]);
-  p.entry_vb = BorrowBlock<uint32_t>(*file, h.dir[kBlockEntryVb]);
-  p.entry_bit = BorrowBlock<uint8_t>(*file, h.dir[kBlockEntryBit]);
-  p.tree_agg_count = BorrowBlock<uint64_t>(*file, h.dir[kBlockTreeAggCount]);
-  p.tree_agg_vals = BorrowBlock<Value>(*file, h.dir[kBlockTreeAggVals]);
-  p.entry_agg_count =
-      BorrowBlock<uint64_t>(*file, h.dir[kBlockEntryAggCount]);
-  p.entry_agg_vals = BorrowBlock<Value>(*file, h.dir[kBlockEntryAggVals]);
-
-  size_t mapped_bytes = 0;
-  for (int b = 0; b < kNumBlocks; ++b)
-    if (b != kBlockWidths)
-      mapped_bytes += (size_t)h.dir[b].count * kBlockElemSize[b];
-  return RepSerde::Assemble(view, db, aux_db, h, std::move(p),
-                            std::move(file), mapped_bytes);
+  return RepSerde::Assemble(view, db, aux_db, h, std::move(file));
 }
 
 }  // namespace cqc

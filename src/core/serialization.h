@@ -29,16 +29,16 @@
 //           dictionary per-entry counts u64 + ring cells u64 (3*mu per
 //           entry).
 //
-// Two loaders share one validation pass:
-//   * LoadCompressedRep — reads every block into owned heap vectors
-//     (O(file bytes); no residual file dependency).
-//   * MmapCompressedRep — maps the file read-only (core/rep_file.h) and
-//     BORROWS the payload blocks straight out of the mapping
-//     (util/col_store.h): open is O(header + tree nodes + dictionary
-//     entries) regardless of pool size, the OS pages candidate data in on
-//     demand, and the returned rep keeps the mapping alive for its
-//     lifetime. The dictionary's id table is built lazily on the first
-//     FindValuation.
+// One loader, LoadCompressedRep: it opens the file through RepFile
+// (core/rep_file.h; a read-only mmap, or a buffered read on platforms
+// without one), parses and validates the header from memory, and BORROWS
+// the payload blocks straight out of the file bytes (util/col_store.h).
+// Open is O(header + tree nodes + dictionary entries) regardless of pool
+// size, the OS pages candidate data in on demand, and the returned rep
+// keeps the RepFile alive for its lifetime. The dictionary's id table is
+// built lazily on the first FindValuation. The loaded rep does not depend
+// on the path afterwards: removing or atomically replacing the file (as
+// SaveCompressedRep does) leaves the mapped inode readable.
 #ifndef CQC_CORE_SERIALIZATION_H_
 #define CQC_CORE_SERIALIZATION_H_
 
@@ -54,15 +54,10 @@ namespace cqc {
 Status SaveCompressedRep(const CompressedRep& rep, const std::string& path);
 
 /// Reconstructs a structure previously saved for the same view over the
-/// same data. Fails on magic/version/shape mismatches.
+/// same data, serving the tree/dictionary columns directly from the file
+/// bytes. Fails on magic/version/shape mismatches and on any corrupt
+/// block; the file's bytes live as long as the returned rep.
 Result<std::unique_ptr<CompressedRep>> LoadCompressedRep(
-    const AdornedView& view, const Database& db, const std::string& path,
-    const Database* aux_db = nullptr);
-
-/// Zero-copy variant: maps `path` and serves the tree/dictionary columns
-/// directly from the mapping. Same validation and failure modes as
-/// LoadCompressedRep; the mapping lives as long as the returned rep.
-Result<std::unique_ptr<CompressedRep>> MmapCompressedRep(
     const AdornedView& view, const Database& db, const std::string& path,
     const Database* aux_db = nullptr);
 

@@ -9,42 +9,6 @@
 namespace cqc {
 namespace {
 
-/// Scans rows [range) of a sorted index, emitting columns [from_level, to).
-class RangeScanEnumerator : public TupleEnumerator {
- public:
-  RangeScanEnumerator(const SortedIndex* index, RowRange range,
-                      int from_level, int to_level)
-      : index_(index), range_(range), from_(from_level), to_(to_level),
-        row_(range.begin) {}
-
-  bool Next(Tuple* out) override {
-    if (row_ >= range_.end) return false;
-    out->resize(to_ - from_);
-    for (int l = from_; l < to_; ++l)
-      (*out)[l - from_] = index_->ValueAt(l, row_);
-    ++row_;
-    return true;
-  }
-
-  size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
-    size_t n = 0;
-    while (n < max_tuples && row_ < range_.end) {
-      Value* slot = out->AppendSlot();
-      for (int l = from_; l < to_; ++l)
-        slot[l - from_] = index_->ValueAt(l, row_);
-      ++row_;
-      ++n;
-    }
-    return n;
-  }
-
- private:
-  const SortedIndex* index_;
-  RowRange range_;
-  int from_, to_;
-  size_t row_;
-};
-
 std::vector<int> IdentityPerm(int n) {
   std::vector<int> p(n);
   for (int i = 0; i < n; ++i) p[i] = i;

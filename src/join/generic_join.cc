@@ -402,4 +402,25 @@ size_t BoxJoinEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {
   return emitted;
 }
 
+bool RangeScanEnumerator::Next(Tuple* out) {
+  if (row_ >= range_.end) return false;
+  out->resize(to_ - from_);
+  for (int l = from_; l < to_; ++l)
+    (*out)[l - from_] = index_->ValueAt(l, row_);
+  ++row_;
+  return true;
+}
+
+size_t RangeScanEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {
+  size_t n = 0;
+  while (n < max_tuples && row_ < range_.end) {
+    Value* slot = out->AppendSlot();
+    for (int l = from_; l < to_; ++l)
+      slot[l - from_] = index_->ValueAt(l, row_);
+    ++row_;
+    ++n;
+  }
+  return n;
+}
+
 }  // namespace cqc

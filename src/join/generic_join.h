@@ -194,6 +194,26 @@ class BoxJoinEnumerator : public TupleEnumerator {
   bool active_ = false;
 };
 
+/// Scans rows [range) of a sorted index, emitting columns [from_level,
+/// to_level) of each row: the answer stream of a structure that stores its
+/// result as one sorted index (a materialized view, a materialized bag).
+class RangeScanEnumerator : public TupleEnumerator {
+ public:
+  RangeScanEnumerator(const SortedIndex* index, RowRange range,
+                      int from_level, int to_level)
+      : index_(index), range_(range), from_(from_level), to_(to_level),
+        row_(range.begin) {}
+
+  bool Next(Tuple* out) override;
+  size_t NextBatch(TupleBuffer* out, size_t max_tuples) override;
+
+ private:
+  const SortedIndex* index_;
+  RowRange range_;
+  int from_, to_;
+  size_t row_;
+};
+
 }  // namespace cqc
 
 #endif  // CQC_JOIN_GENERIC_JOIN_H_

@@ -215,7 +215,7 @@ Result<std::shared_ptr<CachedRep>> RepCache::BuildEntry(
   // a fresh build rather than serving stale answers silently.
   if (!options_.snapshot_dir.empty()) {
     Result<std::unique_ptr<CompressedRep>> mapped =
-        MmapCompressedRep(entry->normalized_.view, *db_, SnapshotPath(key),
+        LoadCompressedRep(entry->normalized_.view, *db_, SnapshotPath(key),
                           &entry->normalized_.aux_db);
     if (mapped.ok()) {
       Plan plan;

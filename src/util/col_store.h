@@ -3,9 +3,9 @@
 //
 // The serving structures (DelayBalancedTree, HeavyDictionary,
 // PackedTuplePool) are struct-of-arrays over columns exactly like their
-// on-disk blocks. A heap load copies each block into an owned vector; a
-// zero-copy load points the column straight into the mapping. ColStore
-// unifies the two behind one accessor surface so the hot paths stay
+// on-disk blocks. A build fills owned vectors; a snapshot load points each
+// column straight into the file mapping. ColStore unifies the two behind
+// one accessor surface so the hot paths stay
 // branch-free: the data pointer and size are cached members, read access
 // is a plain indexed load regardless of mode.
 //

@@ -290,18 +290,15 @@ TEST(AggregateSerialization, TreeAnnotationsSurviveRoundTrip) {
   const std::string path = ::testing::TempDir() + "/agg_tree.cqcrep";
   ASSERT_TRUE(SaveCompressedRep(*orig, path).ok());
 
-  for (bool mmap : {false, true}) {
-    auto loaded = mmap ? MmapCompressedRep(view, db, path)
-                       : LoadCompressedRep(view, db, path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-    EXPECT_TRUE(loaded.value()->has_aggregates());
-    EXPECT_EQ(loaded.value()->stats().agg_bytes, orig->stats().agg_bytes);
-    for (const std::vector<int>& gv : GroupSets(3)) {
-      for (const AggSpec& spec : AllSpecs(3)) {
-        EXPECT_EQ(loaded.value()->AnswerAggregate({}, gv, spec),
-                  orig->AnswerAggregate({}, gv, spec))
-            << (mmap ? "mmap" : "load") << " " << AggFuncName(spec.func);
-      }
+  auto loaded = LoadCompressedRep(view, db, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_TRUE(loaded.value()->has_aggregates());
+  EXPECT_EQ(loaded.value()->stats().agg_bytes, orig->stats().agg_bytes);
+  for (const std::vector<int>& gv : GroupSets(3)) {
+    for (const AggSpec& spec : AllSpecs(3)) {
+      EXPECT_EQ(loaded.value()->AnswerAggregate({}, gv, spec),
+                orig->AnswerAggregate({}, gv, spec))
+          << AggFuncName(spec.func);
     }
   }
   std::remove(path.c_str());
@@ -324,18 +321,15 @@ TEST(AggregateSerialization, DictionaryAnnotationsSurviveRoundTrip) {
   const std::vector<BoundValuation> requests =
       InterestingBoundValuations(view, db);
 
-  for (bool mmap : {false, true}) {
-    auto loaded = mmap ? MmapCompressedRep(view, db, path)
-                       : LoadCompressedRep(view, db, path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-    EXPECT_EQ(loaded.value()->has_aggregates(), orig->has_aggregates());
-    for (const BoundValuation& vb : requests) {
-      for (const AggSpec& spec : AllSpecs(1)) {
-        EXPECT_EQ(loaded.value()->AnswerAggregate(vb, {}, spec),
-                  orig->AnswerAggregate(vb, {}, spec));
-        EXPECT_EQ(loaded.value()->AnswerAggregate(vb, {0}, spec),
-                  orig->AnswerAggregate(vb, {0}, spec));
-      }
+  auto loaded = LoadCompressedRep(view, db, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(loaded.value()->has_aggregates(), orig->has_aggregates());
+  for (const BoundValuation& vb : requests) {
+    for (const AggSpec& spec : AllSpecs(1)) {
+      EXPECT_EQ(loaded.value()->AnswerAggregate(vb, {}, spec),
+                orig->AnswerAggregate(vb, {}, spec));
+      EXPECT_EQ(loaded.value()->AnswerAggregate(vb, {0}, spec),
+                orig->AnswerAggregate(vb, {0}, spec));
     }
   }
   std::remove(path.c_str());
@@ -377,7 +371,6 @@ TEST(AggregateSerialization, OldMagicRejected) {
     std::fclose(f);
   }
   EXPECT_FALSE(LoadCompressedRep(view, db, path).ok());
-  EXPECT_FALSE(MmapCompressedRep(view, db, path).ok());
   std::remove(path.c_str());
 }
 

@@ -1,11 +1,14 @@
-// Heap-vs-mmap differential suite: the zero-copy loader must be
-// observationally identical to the heap loader on every enumeration API —
-// Answer, AnswerRange, NextBatch, Resume, AnswerExists — across the
-// standard view families, and a save -> mmap-load -> save round trip must
-// reproduce the file byte for byte. Plus RepFile unit coverage and a
-// concurrent-probe smoke test for the lazily built dictionary slots.
+// Built-vs-loaded differential suite: a rep loaded from its snapshot must
+// be observationally identical to the rep it was saved from on every
+// enumeration API — Answer, AnswerRange, NextBatch, Resume, AnswerExists —
+// across the standard view families, agree with the oracle, and a save ->
+// load -> save round trip must reproduce the file byte for byte. A loaded
+// rep must keep serving after its file is removed or replaced. Plus
+// RepFile unit coverage and a concurrent-probe smoke test for the lazily
+// built dictionary slots.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -49,56 +52,56 @@ std::vector<Tuple> DrainInSmallBatches(TupleEnumerator& e, int arity) {
   return out;
 }
 
-/// Runs every serving API on both reps for every interesting bound
-/// valuation and requires byte-identical streams.
+/// Runs every serving API on the built and the loaded rep for every
+/// interesting bound valuation and requires byte-identical streams.
 void ExpectIdenticalServing(const AdornedView& view, const Database& db,
-                            const CompressedRep& heap,
-                            const CompressedRep& mapped) {
+                            const CompressedRep& built,
+                            const CompressedRep& loaded) {
   for (const BoundValuation& vb : InterestingBoundValuations(view, db)) {
-    const std::vector<Tuple> expect = CollectAll(*heap.Answer(vb));
-    EXPECT_EQ(CollectAll(*mapped.Answer(vb)), expect);
+    const std::vector<Tuple> expect = CollectAll(*built.Answer(vb));
+    EXPECT_EQ(CollectAll(*loaded.Answer(vb)), expect);
     EXPECT_EQ(expect, OracleAnswer(view, db, vb));
-    EXPECT_EQ(mapped.AnswerExists(vb), heap.AnswerExists(vb));
+    EXPECT_EQ(loaded.AnswerExists(vb), built.AnswerExists(vb));
     if (view.num_free() == 0) continue;
 
     // Range-restricted enumeration: the full range and an answer-derived
     // subrange (endpoints taken from actual outputs, so it is non-trivial).
     {
-      auto full = mapped.AnswerRange(vb, mapped.FullRange());
+      auto full = loaded.AnswerRange(vb, loaded.FullRange());
       EXPECT_EQ(CollectAll(*full), expect);
     }
     if (expect.size() >= 2) {
       const FInterval sub{expect[1], expect[expect.size() / 2]};
-      EXPECT_EQ(CollectAll(*mapped.AnswerRange(vb, sub)),
-                CollectAll(*heap.AnswerRange(vb, sub)));
+      EXPECT_EQ(CollectAll(*loaded.AnswerRange(vb, sub)),
+                CollectAll(*built.AnswerRange(vb, sub)));
     }
 
     // Batched drain with many refill boundaries.
     {
-      auto e = mapped.Answer(vb);
+      auto e = loaded.Answer(vb);
       EXPECT_EQ(DrainInSmallBatches(*e, view.num_free()), expect);
     }
 
-    // Pause mid-stream on the mapped rep, resume on both: identical tails.
+    // Pause mid-stream on the loaded rep, resume on both: identical tails.
     if (!expect.empty()) {
-      CursorEnumerator paused(mapped.Answer(vb));
+      CursorEnumerator paused(loaded.Answer(vb));
       Tuple t;
       const size_t consumed = (expect.size() + 1) / 2;
       for (size_t i = 0; i < consumed; ++i) ASSERT_TRUE(paused.Next(&t));
       const std::vector<Tuple> expect_tail(expect.begin() + consumed,
                                            expect.end());
-      auto resumed_m = mapped.Resume(vb, paused.cursor());
-      ASSERT_TRUE(resumed_m.ok()) << resumed_m.status().message();
-      EXPECT_EQ(CollectAll(*resumed_m.value()), expect_tail);
-      auto resumed_h = heap.Resume(vb, paused.cursor());
-      ASSERT_TRUE(resumed_h.ok()) << resumed_h.status().message();
-      EXPECT_EQ(CollectAll(*resumed_h.value()), expect_tail);
+      auto resumed_l = loaded.Resume(vb, paused.cursor());
+      ASSERT_TRUE(resumed_l.ok()) << resumed_l.status().message();
+      EXPECT_EQ(CollectAll(*resumed_l.value()), expect_tail);
+      auto resumed_b = built.Resume(vb, paused.cursor());
+      ASSERT_TRUE(resumed_b.ok()) << resumed_b.status().message();
+      EXPECT_EQ(CollectAll(*resumed_b.value()), expect_tail);
     }
   }
 }
 
-/// Build -> save -> load both ways -> differential serving -> re-save the
-/// mapped rep and require byte identity with the original file.
+/// Build -> save -> load -> differential serving against the built rep ->
+/// re-save the loaded rep and require byte identity with the original.
 void RunFamily(const std::string& name, const AdornedView& view,
                const Database& db, double tau) {
   SCOPED_TRACE(name + " tau=" + std::to_string(tau));
@@ -109,26 +112,24 @@ void RunFamily(const std::string& name, const AdornedView& view,
   const std::string path = TempPath(name + ".cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*built.value(), path).ok());
 
-  auto heap = LoadCompressedRep(view, db, path);
-  ASSERT_TRUE(heap.ok()) << heap.status().message();
-  auto mapped = MmapCompressedRep(view, db, path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-  EXPECT_EQ(heap.value()->stats().mapped_bytes, 0u);
-  EXPECT_EQ(heap.value()->backing(), nullptr);
-  EXPECT_NE(mapped.value()->backing(), nullptr);
-  if (mapped.value()->stats().tree_nodes > 0)
-    EXPECT_GT(mapped.value()->stats().mapped_bytes, 0u);
-  // Both loaders agree with the builder on the structural stats.
-  EXPECT_EQ(mapped.value()->stats().tree_nodes,
+  auto loaded = LoadCompressedRep(view, db, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_EQ(built.value()->stats().mapped_bytes, 0u);
+  EXPECT_EQ(built.value()->backing(), nullptr);
+  EXPECT_NE(loaded.value()->backing(), nullptr);
+  if (loaded.value()->stats().tree_nodes > 0)
+    EXPECT_GT(loaded.value()->stats().mapped_bytes, 0u);
+  // The loader agrees with the builder on the structural stats.
+  EXPECT_EQ(loaded.value()->stats().tree_nodes,
             built.value()->stats().tree_nodes);
-  EXPECT_EQ(mapped.value()->stats().dict_entries,
+  EXPECT_EQ(loaded.value()->stats().dict_entries,
             built.value()->stats().dict_entries);
 
-  ExpectIdenticalServing(view, db, *heap.value(), *mapped.value());
+  ExpectIdenticalServing(view, db, *built.value(), *loaded.value());
 
-  // The mapped rep must serialize back to the identical file.
+  // The loaded rep must serialize back to the identical file.
   const std::string resaved = TempPath(name + "_resave.cqcrep");
-  ASSERT_TRUE(SaveCompressedRep(*mapped.value(), resaved).ok());
+  ASSERT_TRUE(SaveCompressedRep(*loaded.value(), resaved).ok());
   const std::string bytes = ReadFileBytes(path);
   ASSERT_FALSE(bytes.empty());
   EXPECT_EQ(bytes, ReadFileBytes(resaved));
@@ -177,15 +178,59 @@ TEST(MmapLoadTest, BooleanView) {
   ASSERT_TRUE(rep.ok());
   const std::string path = TempPath("mmap_boolean_probe.cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
-  auto mapped = MmapCompressedRep(view.value(), db, path);
-  ASSERT_TRUE(mapped.ok()) << mapped.status().message();
-  EXPECT_TRUE(mapped.value()->AnswerExists({1, 2}));
-  EXPECT_FALSE(mapped.value()->AnswerExists({1, 4}));
+  auto loaded = LoadCompressedRep(view.value(), db, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  EXPECT_TRUE(loaded.value()->AnswerExists({1, 2}));
+  EXPECT_FALSE(loaded.value()->AnswerExists({1, 4}));
+}
+
+TEST(MmapLoadTest, LoadedRepOutlivesItsFile) {
+  // After the load returns, the rep must not depend on the path: removing
+  // the file, or replacing it through SaveCompressedRep's write-temp-then-
+  // rename, leaves every answer intact.
+  Database db;
+  MakeRandomGraph(db, "R", 12, 60, true, 9);
+  AdornedView view = TriangleView("bfb");
+  CompressedRepOptions copt;
+  copt.tau = 2.0;
+  auto built = CompressedRep::Build(view, db, copt);
+  ASSERT_TRUE(built.ok()) << built.status().message();
+  const std::string path = TempPath("mmap_outlives.cqcrep");
+  ASSERT_TRUE(SaveCompressedRep(*built.value(), path).ok());
+
+  auto loaded = LoadCompressedRep(view, db, path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  ExpectIdenticalServing(view, db, *built.value(), *loaded.value());
+
+  // Save the loaded rep (its columns read from the removed file) back to
+  // the same path, then replace that file with a smaller snapshot while a
+  // second load still maps it.
+  ASSERT_TRUE(SaveCompressedRep(*loaded.value(), path).ok());
+  ExpectIdenticalServing(view, db, *built.value(), *loaded.value());
+  auto reloaded = LoadCompressedRep(view, db, path);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().message();
+  const std::string mapped_bytes = ReadFileBytes(path);
+  Database tiny_db;
+  testing::AddRelation(tiny_db, "R", 2, {{1, 2}, {2, 3}, {3, 1}});
+  auto tiny = CompressedRep::Build(view, tiny_db, copt);
+  ASSERT_TRUE(tiny.ok()) << tiny.status().message();
+  ASSERT_TRUE(SaveCompressedRep(*tiny.value(), path).ok());
+  ASSERT_LT(ReadFileBytes(path).size(), mapped_bytes.size());
+  // Answers alone cannot show a changed tree (any split points partition
+  // the space correctly), so compare the bytes the second load serves.
+  const RepFile& backing = *reloaded.value()->backing();
+  EXPECT_TRUE(std::string(reinterpret_cast<const char*>(backing.data()),
+                          backing.size()) == mapped_bytes)
+      << "replacing the file changed the bytes a live load serves";
+  ExpectIdenticalServing(view, db, *built.value(), *loaded.value());
+  ExpectIdenticalServing(view, db, *built.value(), *reloaded.value());
+  std::remove(path.c_str());
 }
 
 TEST(MmapLoadTest, ConcurrentProbesOnFreshMapping) {
-  // The mapped dictionary builds its probe slots lazily on the first
-  // FindValuation (std::call_once): hammer a fresh mapping from several
+  // A loaded dictionary builds its probe slots lazily on the first
+  // FindValuation (std::call_once): hammer a fresh load from several
   // threads at once and require every stream to be correct.
   Database db;
   MakeRandomGraph(db, "R", 12, 60, true, 9);
@@ -196,7 +241,7 @@ TEST(MmapLoadTest, ConcurrentProbesOnFreshMapping) {
   ASSERT_TRUE(rep.ok());
   const std::string path = TempPath("mmap_concurrent.cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
-  auto mapped = MmapCompressedRep(view, db, path);
+  auto mapped = LoadCompressedRep(view, db, path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().message();
 
   const std::vector<BoundValuation> vbs = InterestingBoundValuations(view, db);
@@ -223,11 +268,11 @@ TEST(MmapLoadTest, ResidentBytesAccounting) {
   copt.tau = 2.0;
   auto rep = CompressedRep::Build(view, db, copt);
   ASSERT_TRUE(rep.ok());
-  // Built and heap-loaded reps: resident == logical total.
+  // Built reps: resident == logical total.
   EXPECT_EQ(rep.value()->ResidentBytes(), rep.value()->stats().TotalBytes());
   const std::string path = TempPath("mmap_resident.cqcrep");
   ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
-  auto mapped = MmapCompressedRep(view, db, path);
+  auto mapped = LoadCompressedRep(view, db, path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().message();
   // Mapped reps: the heap share is strictly below the logical total, and
   // the mapped share is bounded by the file's resident pages.

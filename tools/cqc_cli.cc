@@ -31,7 +31,7 @@ void Usage() {
       "               [--plan auto|compressed|decomposed|direct|materialized|"
       "updatable]\n"
       "               [--tau T] [--space-budget B] [--threads N] [--stats]\n"
-      "               [--save PATH] [--load PATH | --load-mmap PATH]\n"
+      "               [--save PATH] [--load PATH]\n"
       "               [--mutate] [--churn RATE] [--agg-fraction F]\n"
       "               [--deadline-ms N] [--failpoint SPEC]\n"
       "--deadline-ms N gives every request an N-millisecond deadline; an\n"
@@ -39,8 +39,8 @@ void Usage() {
       "--failpoint SPEC arms a fault-injection site (site[=p[:skip[:max]]],\n"
       "repeatable; the CQC_FAILPOINTS env var works too — docs/robustness.md\n"
       "has the site catalog).\n"
-      "--load reads a CQCREP05 file into heap memory; --load-mmap maps it\n"
-      "zero-copy (opens in O(header) time, pages fault in on demand).\n"
+      "--load maps a CQCREP05 file zero-copy (opens in O(header) time,\n"
+      "pages fault in on demand).\n"
       "--agg-fraction F prices F of the requests as grouped aggregates\n"
       "(builds annotations into the compressed/updatable candidates).\n"
       "then: one access request per line on stdin (bound values), or an\n"
@@ -73,7 +73,6 @@ int main(int argc, char** argv) {
   double churn = -1;  // <0 = unset; defaults to 0.5 in --mutate mode
   double agg_fraction = 0;
   bool want_stats = false;
-  bool load_mmap = false;
   bool mutate = false;
   int threads = 1;
   long deadline_ms = 0;  // 0 = unbounded
@@ -110,12 +109,11 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "loaded %s: %zu tuples\n", name.c_str(),
                    loaded.value()->size());
     } else if (arg == "--view" || arg == "--plan" || arg == "--save" ||
-               arg == "--load" || arg == "--load-mmap") {
+               arg == "--load") {
       std::string& dst = arg == "--view"   ? view_text
                          : arg == "--plan" ? plan_name
                          : arg == "--save" ? save_path
                                            : load_path;
-      if (arg == "--load-mmap") load_mmap = true;
       dst = next();
     } else if (arg == "--tau" || arg == "--space-budget" ||
                arg == "--churn" || arg == "--agg-fraction") {
@@ -193,8 +191,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     if (!load_path.empty()) {
-      std::fprintf(stderr, "--mutate cannot serve a %s'ed snapshot\n",
-                   load_mmap ? "--load-mmap" : "--load");
+      std::fprintf(stderr, "--mutate cannot serve a --load'ed snapshot\n");
       return 2;
     }
   }
@@ -202,15 +199,13 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<AnswerRep> rep;
   if (!load_path.empty()) {
-    auto loaded = load_mmap ? MmapCompressedRep(view, db, load_path, aux)
-                            : LoadCompressedRep(view, db, load_path, aux);
+    auto loaded = LoadCompressedRep(view, db, load_path, aux);
     if (!loaded.ok()) {
       std::fprintf(stderr, "load: %s\n", loaded.status().message().c_str());
       return 1;
     }
     rep = WrapAnswerRep(std::move(loaded).value());
-    std::fprintf(stderr, "%s structure from %s\n",
-                 load_mmap ? "mapped" : "loaded", load_path.c_str());
+    std::fprintf(stderr, "mapped structure from %s\n", load_path.c_str());
   } else {
     // One build path for every mode: the planner scores all candidates for
     // --plan auto and just the requested family otherwise.

@@ -7,16 +7,18 @@
 // the packed candidate pool (~24 bytes/row). The denominator, file_read,
 // is the min-of-N time to read the whole file into a std::vector through
 // std::ifstream: the floor for any loader that owns its bytes, before any
-// validation or slot build. LoadCompressedRep validates the header and
-// block directory and borrows every column in place, O(header) work
-// regardless of file size.
+// validation. LoadCompressedRep validates the header and block directory
+// and borrows every column in place, O(header) work regardless of file
+// size; the first probe binary-searches the mapped candidate pool.
 //
-// The gate (exit 1 on failure): the loader's open must be at least
-// CQC_LOAD_MIN_SPEEDUP (default 50) times faster than file_read on a
-// >= 100 MB file. Reported alongside, not gated: first_answer_ms (open +
-// first probe, which pays the dictionary's lazy id-table build) and the
-// resident-byte accounting (a fresh mapping should charge far less than
-// the file until probes touch pages).
+// The gates (exit 1 on failure), each on a >= 100 MB file: the loader's
+// open, and first_answer_ms (that open plus the first probe's full
+// answer), must each be at least CQC_LOAD_MIN_SPEEDUP (default 50) times
+// faster than file_read — so a loader that opens fast but defers an
+// O(file) build to the first probe fails too. Reported alongside, not
+// gated: the mapping's own resident pages after open against its mapped
+// size (mincore counts page-cache residency, so a file that was just
+// written can show as fully resident before any probe).
 //
 // Env knobs: CQC_LOAD_ROWS (default 4,600,000 -> ~110 MB file),
 // CQC_LOAD_MIN_SPEEDUP (default 50).
@@ -134,6 +136,7 @@ int main() {
     rep = std::move(loaded).value();
   }
   const size_t resident_after_open = rep->ResidentBytes();
+  const size_t mapped_resident_after_open = rep->backing()->ResidentBytes();
 
   WallTimer probe_timer;
   if (CollectAll(*rep->Answer(probe_vb)).empty()) {
@@ -149,6 +152,7 @@ int main() {
               kRows, file_bytes / 1e6, build_seconds, first_answer_ms,
               built.value()->stats().tree_nodes);
   const double speedup = read_s / open_s;
+  const double first_answer_speedup = read_s * 1e3 / first_answer_ms;
   bench::Table table({"path", "ms", "first probe us", "resident MB"});
   table.AddRow({"file_read", StrFormat("%.2f", read_s * 1e3), "-",
                 StrFormat("%.1f", file_bytes / 1e6)});
@@ -158,8 +162,11 @@ int main() {
   table.Print();
   std::printf("mapped open speedup over file read: %.1fx (gate: >= %.0fx)\n",
               speedup, kMinSpeedup);
-  std::printf("resident after open: %.2f MB of %.1f MB mapped\n",
-              resident_after_open / 1e6, rep->stats().mapped_bytes / 1e6);
+  std::printf("first answer speedup over file read: %.1fx (gate: >= %.0fx)\n",
+              first_answer_speedup, kMinSpeedup);
+  std::printf("mapping resident after open: %.2f MB of %.1f MB mapped\n",
+              mapped_resident_after_open / 1e6,
+              rep->stats().mapped_bytes / 1e6);
 
   report.AddRecord()
       .Set("experiment", "cold_load")
@@ -180,7 +187,11 @@ int main() {
            (unsigned long long)resident_after_open)
       .Set("resident_bytes_after_probe",
            (unsigned long long)resident_after_probe)
+      .Set("mapped_resident_bytes_after_open",
+           (unsigned long long)mapped_resident_after_open)
+      .Set("mapped_bytes", (unsigned long long)rep->stats().mapped_bytes)
       .Set("speedup_vs_file_read", speedup)
+      .Set("first_answer_speedup_vs_file_read", first_answer_speedup)
       .Set("gate_min_speedup", kMinSpeedup);
   report.Write();
 
@@ -195,6 +206,14 @@ int main() {
                  "FAIL: mapped open only %.1fx faster than reading the "
                  "file (gate %.0fx) — the loader is reading the file\n",
                  speedup, kMinSpeedup);
+    return 1;
+  }
+  if (first_answer_speedup < kMinSpeedup) {
+    std::fprintf(stderr,
+                 "FAIL: first answer only %.1fx faster than reading the "
+                 "file (gate %.0fx) — the first probe is doing O(file) "
+                 "work\n",
+                 first_answer_speedup, kMinSpeedup);
     return 1;
   }
   std::printf("PASS\n");

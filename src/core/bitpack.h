@@ -114,16 +114,6 @@ class PackedTuplePool {
                      out);
   }
 
-  /// Row `id` == `t`? (t.size() must equal arity()).
-  bool RowEquals(size_t id, TupleSpan t) const {
-    const size_t base = id * row_bits_;
-    size_t c = 0;
-    while (c < (size_t)arity_ &&
-           GetBits(base + plan_[c].bit, plan_[c].mask) == t[c])
-      ++c;
-    return c == (size_t)arity_;
-  }
-
   size_t MemoryBytes() const {
     // Borrowed word blocks charge their mapped extent (the logical size):
     // the pool is the dominant dictionary component and pricing it at zero

@@ -44,36 +44,30 @@ void HeavyDictionary::AttachAggregates(ColStore<uint64_t> counts,
 uint32_t HeavyDictionary::FindValuation(TupleSpan vb) const {
   if (num_candidates_ == 0 || (int)vb.size() != vb_arity_)
     return kNoValuation;
-  // Loaded dictionaries defer the id table to the first probe (the pool
-  // can hold millions of candidates the caller may never look up);
-  // call_once makes concurrent first probes safe. Built dictionaries pay
-  // only the null test.
-  if (deferred_slots_)
-    std::call_once(*deferred_slots_, [this] { BuildIdSlots(); });
-  const size_t mask = id_slots_.size() - 1;
-  size_t slot = SpanHash()(vb) & mask;
-  for (;;) {
-    const uint32_t id = id_slots_[slot];
-    if (id == kNoValuation) return kNoValuation;
-    const bool eq =
-        sealed_ ? packed_pool_.RowEquals(id, vb) : candidate(id) == vb;
-    if (eq) return id;
-    slot = (slot + 1) & mask;
+  // The pool is in strict lex order (checked at Seal), so it is its own
+  // index: one binary search, O(log candidates) row decodes.
+  Value row[kMaxVars];
+  size_t lo = 0, hi = num_candidates_;
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    UnpackCandidate((uint32_t)mid, row);
+    int c = 0;
+    while (c < vb_arity_ && row[c] == vb[c]) ++c;
+    if (c == vb_arity_) return (uint32_t)mid;
+    if (row[c] < vb[c]) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
-}
-
-uint64_t HeavyDictionary::CandidateHash(uint32_t id) const {
-  if (vb_arity_ == 0) return SpanHash()(TupleSpan());
-  if (!candidate_pool_.empty())
-    return SpanHash()(TupleSpan(
-        candidate_pool_.data() + (size_t)id * vb_arity_, (size_t)vb_arity_));
-  Value buf[kMaxVars];
-  packed_pool_.UnpackRow(id, buf);
-  return SpanHash()(TupleSpan(buf, (size_t)vb_arity_));
+  return kNoValuation;
 }
 
 void HeavyDictionary::Seal() {
   if (sealed_) return;
+  for (uint32_t id = 1; id < num_candidates_ && vb_arity_ > 0; ++id)
+    CQC_CHECK(candidate(id - 1) < candidate(id))
+        << "dictionary candidates not in strict lex order at id " << id;
   packed_pool_ = PackedTuplePool::Pack(candidate_pool_, vb_arity_,
                                        num_candidates_);
   candidate_pool_.clear();
@@ -84,55 +78,8 @@ void HeavyDictionary::Seal() {
 uint32_t HeavyDictionary::AddCandidate(TupleSpan vb) {
   CQC_DCHECK(!sealed_) << "AddCandidate on a sealed dictionary";
   CQC_CHECK_EQ((int)vb.size(), vb_arity_);
-  const uint32_t id = (uint32_t)num_candidates_++;
   candidate_pool_.insert(candidate_pool_.end(), vb.begin(), vb.end());
-  // Grow at 50% load (amortized); otherwise insert in place.
-  if (id_slots_.empty() || 2 * num_candidates_ > id_slots_.size()) {
-    RehashCandidates();
-  } else {
-    const size_t mask = id_slots_.size() - 1;
-    size_t slot = SpanHash()(vb) & mask;
-    while (id_slots_[slot] != kNoValuation) slot = (slot + 1) & mask;
-    id_slots_[slot] = id;
-  }
-  return id;
-}
-
-void HeavyDictionary::RehashCandidates() {
-  CQC_DCHECK(!sealed_) << "RehashCandidates on a sealed dictionary";
-  BuildIdSlots();
-}
-
-void HeavyDictionary::BuildIdSlots() const {
-  size_t cap = 16;
-  while (cap < 4 * num_candidates_) cap <<= 1;
-  id_slots_.assign(cap, kNoValuation);
-  const size_t mask = cap - 1;
-  if (candidate_pool_.empty() && vb_arity_ > 0 && num_candidates_ > 0) {
-    // Packed-pool path (FromPacked / deferred): every hash decodes from
-    // the packed pool.
-    // Batch-decode blocks through the SIMD kernel instead of splicing one
-    // row per id.
-    constexpr size_t kBlock = 64;
-    std::vector<Value> buf(kBlock * (size_t)vb_arity_);
-    for (uint32_t base = 0; base < num_candidates_; base += kBlock) {
-      const size_t n =
-          std::min((size_t)kBlock, (size_t)(num_candidates_ - base));
-      packed_pool_.UnpackRows(base, n, buf.data());
-      for (size_t j = 0; j < n; ++j) {
-        const TupleSpan vb(buf.data() + j * vb_arity_, (size_t)vb_arity_);
-        size_t slot = SpanHash()(vb) & mask;
-        while (id_slots_[slot] != kNoValuation) slot = (slot + 1) & mask;
-        id_slots_[slot] = base + (uint32_t)j;
-      }
-    }
-    return;
-  }
-  for (uint32_t id = 0; id < num_candidates_; ++id) {
-    size_t slot = CandidateHash(id) & mask;
-    while (id_slots_[slot] != kNoValuation) slot = (slot + 1) & mask;
-    id_slots_[slot] = id;
-  }
+  return (uint32_t)num_candidates_++;
 }
 
 void HeavyDictionary::SetBit(int node, uint32_t vb_id, bool bit) {
@@ -154,41 +101,8 @@ size_t HeavyDictionary::MemoryBytes() const {
     return c.borrowed() ? c.ByteSize() : c.MemoryBytes();
   };
   return sizeof(*this) + candidate_pool_.capacity() * sizeof(Value) +
-         packed_pool_.MemoryBytes() +
-         id_slots_.capacity() * sizeof(uint32_t) + col(node_offsets_) +
-         col(entry_vb_) + col(entry_bit_) + col(entry_agg_count_) +
-         col(entry_agg_vals_);
-}
-
-HeavyDictionary HeavyDictionary::FromFlat(int vb_arity,
-                                          std::vector<Value> candidate_pool,
-                                          std::vector<uint32_t> node_offsets,
-                                          std::vector<uint32_t> entry_vb,
-                                          std::vector<uint8_t> entry_bit) {
-  HeavyDictionary d;
-  d.vb_arity_ = vb_arity;
-  if (vb_arity > 0) {
-    CQC_CHECK_EQ(candidate_pool.size() % (size_t)vb_arity, 0u);
-    d.num_candidates_ = candidate_pool.size() / vb_arity;
-  } else {
-    // Arity-0 pools cannot encode their count: a dictionary that was built
-    // for an all-free view interns exactly the one empty valuation, while a
-    // never-built dictionary (no offsets) has none.
-    d.num_candidates_ = node_offsets.empty() ? 0 : 1;
-  }
-  CQC_CHECK_EQ(entry_vb.size(), entry_bit.size());
-  if (!node_offsets.empty()) {
-    CQC_CHECK_EQ((size_t)node_offsets.back(), entry_vb.size());
-  } else {
-    CQC_CHECK(entry_vb.empty());
-  }
-  d.candidate_pool_ = std::move(candidate_pool);
-  d.node_offsets_ = std::move(node_offsets);
-  d.entry_vb_ = std::move(entry_vb);
-  d.entry_bit_ = std::move(entry_bit);
-  d.RehashCandidates();
-  d.Seal();
-  return d;
+         packed_pool_.MemoryBytes() + col(node_offsets_) + col(entry_vb_) +
+         col(entry_bit_) + col(entry_agg_count_) + col(entry_agg_vals_);
 }
 
 HeavyDictionary HeavyDictionary::FromPacked(
@@ -211,9 +125,6 @@ HeavyDictionary HeavyDictionary::FromPacked(
   d.entry_vb_ = std::move(entry_vb);
   d.entry_bit_ = std::move(entry_bit);
   d.sealed_ = true;  // already packed: skip Seal()'s repack
-  // Defer the O(candidates) id table build to the first FindValuation so
-  // opening a snapshot stays O(header).
-  d.deferred_slots_ = std::make_unique<std::once_flag>();
   return d;
 }
 

@@ -18,35 +18,35 @@
 //   valuations are unreachable.
 //
 // Storage is flat: interned valuations live in one pool (vb_arity values
-// per candidate, dense ids = pool order) looked up through an
-// open-addressed id table, and the per-node entries are a CSR — one
-// offsets array over the tree's node ids plus parallel (valuation id, bit)
-// entry columns sorted by id within each node. A lookup is two array reads
-// and a binary search over a contiguous slice. During construction the
-// pool is a raw Value array (spans stay valid for the builder's probes);
-// Seal() bit-packs it to per-column minimal widths (core/bitpack.h) and
-// drops the raw copy, so the served dictionary pays packed bits per
-// candidate and decodes rows branch-free. The whole dictionary serializes
-// as flat array blocks (packed words included, mmap-friendly).
+// per candidate, dense ids = pool order), and the per-node entries are a
+// CSR — one offsets array over the tree's node ids plus parallel
+// (valuation id, bit) entry columns sorted by id within each node. The
+// builder appends candidates in lex order from one join pass, and Seal()
+// checks that order, so the pool is its own index: FindValuation is a
+// binary search over pool rows, O(log candidates), the same code for a
+// built and a loaded dictionary. A lookup is then two array reads and a
+// binary search over a contiguous slice. During construction the pool is
+// a raw Value array (spans stay valid for the builder's probes); Seal()
+// bit-packs it to per-column minimal widths (core/bitpack.h) and drops
+// the raw copy, so the served dictionary pays packed bits per candidate
+// and decodes rows branch-free. The whole dictionary serializes as flat
+// array blocks (packed words included, mmap-friendly).
 //
 // Thread safety — the read-only-after-seal contract. Construction
-// (AddCandidate / RehashCandidates) grows the candidate pool and rebuilds
-// the open-addressed id table, which MOVES memory: a concurrent reader
-// holding a TupleSpan from candidate(), or probing id_slots_ mid-rehash,
-// would chase freed storage. Both mutators are therefore builder-private
-// and assert (CQC_DCHECK) that the dictionary is not yet sealed; the
-// builder and the deserializer seal the finished dictionary, after which
-// every accessor reads immutable flat arrays and any number of enumeration
-// threads may share one instance. The one post-seal mutation is SetBit
-// (the Algorithm 4 semijoin fixup): it flips a byte in place — no
-// reallocation, spans stay valid — but it is NOT synchronized, so run the
-// fixup before the structure is shared across threads.
+// (AddCandidate) grows the candidate pool, which MOVES memory: a
+// concurrent reader holding a TupleSpan from candidate() would chase freed
+// storage. AddCandidate is therefore builder-private and asserts
+// (CQC_DCHECK) that the dictionary is not yet sealed; the builder and the
+// deserializer seal the finished dictionary, after which every accessor
+// reads immutable flat arrays — there is no lazily built state — and any
+// number of enumeration threads may share one instance. The one post-seal
+// mutation is SetBit (the Algorithm 4 semijoin fixup): it flips a byte in
+// place — no reallocation, spans stay valid — but it is NOT synchronized,
+// so run the fixup before the structure is shared across threads.
 #ifndef CQC_CORE_DICTIONARY_H_
 #define CQC_CORE_DICTIONARY_H_
 
 #include <cstring>
-#include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/bitpack.h"
@@ -55,7 +55,6 @@
 #include "core/lex_domain.h"
 #include "join/bound_atom.h"
 #include "util/col_store.h"
-#include "util/hashing.h"
 
 namespace cqc {
 
@@ -72,7 +71,8 @@ class HeavyDictionary {
   static constexpr size_t kNoEntry = ~(size_t)0;
   size_t LookupEntryIndex(int node, uint32_t vb_id) const;
 
-  /// Interns a bound valuation; returns its id or kNoValuation.
+  /// Id of bound valuation `vb` (binary search over the lex-sorted pool),
+  /// or kNoValuation if it is not a candidate or has the wrong arity.
   static constexpr uint32_t kNoValuation = ~0u;
   uint32_t FindValuation(TupleSpan vb) const;
 
@@ -142,21 +142,13 @@ class HeavyDictionary {
       fn(entry_vb_[i], entry_bit_[i] != 0);
   }
 
-  /// Reassembles a dictionary from its flat parts (deserialization and
-  /// tests). `node_offsets` has num_nodes + 1 entries; within a node's
-  /// slice the `entry_vb` ids must be strictly ascending. The result is
-  /// sealed (pool packed).
-  static HeavyDictionary FromFlat(int vb_arity,
-                                  std::vector<Value> candidate_pool,
-                                  std::vector<uint32_t> node_offsets,
-                                  std::vector<uint32_t> entry_vb,
-                                  std::vector<uint8_t> entry_bit);
-
-  /// Same, but directly from an already-packed pool (the deserialization
-  /// path — no unpack/repack round trip). The CSR columns may be owned
-  /// (vectors convert implicitly) or borrowed from a mapping. The id
-  /// table build is DEFERRED to the first FindValuation (std::call_once),
-  /// keeping a snapshot load O(header) instead of O(candidates).
+  /// Reassembles a sealed dictionary from an already-packed pool (the
+  /// deserialization path — no unpack/repack round trip). `node_offsets`
+  /// has num_nodes + 1 entries; within a node's slice the `entry_vb` ids
+  /// must be strictly ascending. The CSR columns may be owned (vectors
+  /// convert implicitly) or borrowed from a mapping. Nothing is built
+  /// over the pool, so a snapshot open stays O(header); the pool's lex
+  /// order is not re-checked here (Seal checked it when it was built).
   static HeavyDictionary FromPacked(int vb_arity, size_t num_candidates,
                                     PackedTuplePool pool,
                                     ColStore<uint32_t> node_offsets,
@@ -195,9 +187,10 @@ class HeavyDictionary {
     return entry_agg_vals_;
   }
 
-  /// Freezes the structure: bit-packs the candidate pool (dropping the raw
-  /// build-time copy) and makes any later AddCandidate / RehashCandidates
-  /// a contract violation (enumeration must never mutate a shared
+  /// Freezes the structure: CHECKs that the candidate pool is in strict
+  /// lex order (FindValuation's binary search relies on it), bit-packs it
+  /// (dropping the raw build-time copy) and makes any later AddCandidate a
+  /// contract violation (enumeration must never mutate a shared
   /// dictionary) that aborts in debug/sanitizer builds.
   void Seal();
   bool sealed() const { return sealed_; }
@@ -207,16 +200,8 @@ class HeavyDictionary {
 
   /// Appends `vb` to the pool, assigning the next dense id. Build-time
   /// only: invalidates candidate() spans (pool growth) — asserts !sealed().
+  /// Candidates must arrive in strict lex order (checked at Seal).
   uint32_t AddCandidate(TupleSpan vb);
-  /// Rebuilds the open-addressed id table over the pool. Build-time only:
-  /// racy against concurrent FindValuation — asserts !sealed().
-  void RehashCandidates();
-  /// The id table build itself. const (id_slots_ is mutable) so the
-  /// deferred path can run it from FindValuation under call_once.
-  void BuildIdSlots() const;
-
-  // Hash of candidate `id` from whichever pool currently holds it.
-  uint64_t CandidateHash(uint32_t id) const;
 
   bool sealed_ = false;
   int vb_arity_ = 0;
@@ -225,16 +210,6 @@ class HeavyDictionary {
   std::vector<Value> candidate_pool_;
   // Post-seal bit-packed pool (core/bitpack.h).
   PackedTuplePool packed_pool_;
-  // Open-addressed hash table: slot -> candidate id (kNoValuation = empty).
-  // Power-of-two size, linear probing against pool rows. Derived state (a
-  // cache over the pool), hence mutable: a snapshot load defers its
-  // construction to the first FindValuation so opening stays O(header).
-  mutable std::vector<uint32_t> id_slots_;
-  // Non-null iff the dictionary came from FromPacked (snapshot loads):
-  // the id table is built on the first probe. call_once makes the lazy
-  // build safe under concurrent probes; the builder leaves this null and
-  // builds eagerly, so the hot probe path costs one null test.
-  std::unique_ptr<std::once_flag> deferred_slots_;
 
   // CSR entries: node_offsets_[n] .. node_offsets_[n+1] index the parallel
   // entry columns, sorted by valuation id within each node. Owned after a

@@ -35,8 +35,10 @@
 // the payload blocks straight out of the file bytes (util/col_store.h).
 // Open is O(header + tree nodes + dictionary entries) regardless of pool
 // size, the OS pages candidate data in on demand, and the returned rep
-// keeps the RepFile alive for its lifetime. The dictionary's id table is
-// built lazily on the first FindValuation. The loaded rep does not depend
+// keeps the RepFile alive for its lifetime. Nothing is built over the
+// candidate pool: FindValuation binary-searches the mapped rows, so the
+// first probe costs what every probe costs, plus the page faults of the
+// rows it touches. The loaded rep does not depend
 // on the path afterwards: removing or atomically replacing the file (as
 // SaveCompressedRep does) leaves the mapped inode readable.
 #ifndef CQC_CORE_SERIALIZATION_H_

@@ -131,12 +131,6 @@ TEST(PackedTuplePool, RoundTripsRandomRows) {
         EXPECT_EQ(buf[c], flat[r * arity + c]) << "row " << r << " col " << c;
         EXPECT_EQ(pool.At(r, c), flat[r * arity + c]);
       }
-      EXPECT_TRUE(pool.RowEquals(r, buf));
-      if (arity > 0) {
-        Tuple other = buf;
-        other[rng.Uniform(arity)] ^= 1;
-        EXPECT_FALSE(pool.RowEquals(r, other));
-      }
     }
     // Rebuild from serialized parts: identical content.
     PackedTuplePool re = PackedTuplePool::FromFlatParts(
@@ -155,8 +149,9 @@ TEST(PackedTuplePool, AllZeroAndTrailingZeroColumns) {
     PackedTuplePool pool = PackedTuplePool::Pack(flat, 2, 2);
     EXPECT_TRUE(pool.words().empty());
     EXPECT_EQ(pool.At(1, 1), 0u);
-    EXPECT_TRUE(pool.RowEquals(0, Tuple{0, 0}));
-    EXPECT_FALSE(pool.RowEquals(0, Tuple{0, 1}));
+    Tuple row{7, 7};
+    pool.UnpackRow(0, row.data());
+    EXPECT_EQ(row, (Tuple{0, 0}));
   }
   {
     // Trailing width-0 column whose bit offset lands exactly on the end of
@@ -165,7 +160,9 @@ TEST(PackedTuplePool, AllZeroAndTrailingZeroColumns) {
     PackedTuplePool pool = PackedTuplePool::Pack(flat, 2, 1);
     EXPECT_EQ(pool.At(0, 0), ~0ull);
     EXPECT_EQ(pool.At(0, 1), 0u);
-    EXPECT_TRUE(pool.RowEquals(0, Tuple{~0ull, 0}));
+    Tuple row{7, 7};
+    pool.UnpackRow(0, row.data());
+    EXPECT_EQ(row, (Tuple{~0ull, 0}));
   }
 }
 

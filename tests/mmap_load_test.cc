@@ -3,13 +3,15 @@
 // enumeration API — Answer, AnswerRange, NextBatch, Resume, AnswerExists —
 // across the standard view families, agree with the oracle, and a save ->
 // load -> save round trip must reproduce the file byte for byte. A loaded
-// rep must keep serving after its file is removed or replaced. Plus
-// RepFile unit coverage and a concurrent-probe smoke test for the lazily
-// built dictionary slots.
+// rep must keep serving after its file is removed or replaced. The
+// dictionary probe (a binary search over the sorted candidate pool) is
+// checked directly on both reps. Plus RepFile unit coverage and a
+// concurrent-probe smoke test on a fresh mapping.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <optional>
 #include <string>
 #include <thread>
@@ -20,6 +22,7 @@
 #include "core/serialization.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 #include "workload/catalog.h"
 #include "workload/generators.h"
 
@@ -100,6 +103,50 @@ void ExpectIdenticalServing(const AdornedView& view, const Database& db,
   }
 }
 
+/// FindValuation is exact: every candidate id round-trips, and a probe
+/// answers its candidate id or kNoValuation — for each row with one column
+/// moved by +-1, for tuples below the first and above the last row, and
+/// for wrong-arity probes.
+void ExpectExactProbes(const HeavyDictionary& dict) {
+  const int arity = dict.vb_arity();
+  const uint32_t n = (uint32_t)dict.NumCandidates();
+  std::map<Tuple, uint32_t> ids;
+  for (uint32_t id = 0; id < n; ++id) {
+    const Tuple row = dict.Candidate(id);
+    ASSERT_EQ(dict.FindValuation(row), id);
+    ids.emplace(row, id);
+  }
+  ASSERT_EQ(ids.size(), (size_t)n);
+  const auto expect_probe = [&](const Tuple& probe) {
+    const auto it = ids.find(probe);
+    EXPECT_EQ(dict.FindValuation(probe),
+              it == ids.end() ? HeavyDictionary::kNoValuation : it->second);
+  };
+  for (const auto& [row, id] : ids) {
+    for (int c = 0; c < arity; ++c) {
+      for (const Value delta : {Value{1}, ~Value{0}}) {  // +1, -1 (wrapping)
+        Tuple moved = row;
+        moved[c] += delta;
+        expect_probe(moved);
+      }
+    }
+  }
+  if (n > 0 && arity > 0) {
+    const Tuple first = dict.Candidate(0), last = dict.Candidate(n - 1);
+    Tuple below(arity, 0), above(arity, ~Value{0});
+    if (below < first) {
+      EXPECT_EQ(dict.FindValuation(below), HeavyDictionary::kNoValuation);
+    }
+    if (last < above) {
+      EXPECT_EQ(dict.FindValuation(above), HeavyDictionary::kNoValuation);
+    }
+    EXPECT_EQ(dict.FindValuation(Tuple(first.begin(), first.end() - 1)),
+              HeavyDictionary::kNoValuation);
+  }
+  EXPECT_EQ(dict.FindValuation(Tuple(arity + 1, 0)),
+            HeavyDictionary::kNoValuation);
+}
+
 /// Build -> save -> load -> differential serving against the built rep ->
 /// re-save the loaded rep and require byte identity with the original.
 void RunFamily(const std::string& name, const AdornedView& view,
@@ -126,6 +173,14 @@ void RunFamily(const std::string& name, const AdornedView& view,
             built.value()->stats().dict_entries);
 
   ExpectIdenticalServing(view, db, *built.value(), *loaded.value());
+  {
+    SCOPED_TRACE("built dictionary");
+    ExpectExactProbes(built.value()->dictionary());
+  }
+  {
+    SCOPED_TRACE("loaded dictionary");
+    ExpectExactProbes(loaded.value()->dictionary());
+  }
 
   // The loaded rep must serialize back to the identical file.
   const std::string resaved = TempPath(name + "_resave.cqcrep");
@@ -165,6 +220,24 @@ TEST(MmapLoadTest, PathBoundPrefix) {
   Database db;
   MakePathRelations(db, "R", 3, 9, 45, 33);
   RunFamily("mmap_path_bfff", PathView(3, "bfff"), db, 2.0);
+}
+
+TEST(MmapLoadTest, WideBoundColumns) {
+  // 48-bit bound columns (as in bench_load's fixture): the probe compares
+  // wide packed fields, and +-1 neighbours straddle packed-word boundaries.
+  Database db;
+  Relation* r = db.AddRelation("R", 3);
+  Rng rng(48);
+  std::vector<Value> wide(40);
+  for (Value& v : wide) v = rng.Uniform(uint64_t{1} << 48);
+  for (int i = 0; i < 300; ++i)
+    r->Insert(Tuple{wide[rng.Uniform(wide.size())],
+                    (uint64_t{1} << 47) + rng.Uniform(4), rng.Uniform(8)});
+  r->Seal();
+  auto view = ParseAdornedView("Q^bbf(a,b,c) = R(a,b,c)");
+  ASSERT_TRUE(view.ok());
+  for (double tau : {1.0, 4.0})
+    RunFamily("mmap_wide_bbf", view.value(), db, tau);
 }
 
 TEST(MmapLoadTest, BooleanView) {
@@ -229,9 +302,10 @@ TEST(MmapLoadTest, LoadedRepOutlivesItsFile) {
 }
 
 TEST(MmapLoadTest, ConcurrentProbesOnFreshMapping) {
-  // A loaded dictionary builds its probe slots lazily on the first
-  // FindValuation (std::call_once): hammer a fresh load from several
-  // threads at once and require every stream to be correct.
+  // A loaded dictionary serves its very first probes with no lazy
+  // initialization (FindValuation binary-searches the mapped pool): hammer
+  // a fresh load from several threads at once and require every stream to
+  // be correct (TSan in CI checks there is nothing to race on).
   Database db;
   MakeRandomGraph(db, "R", 12, 60, true, 9);
   AdornedView view = TriangleView("bfb");

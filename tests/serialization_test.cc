@@ -184,16 +184,18 @@ class CorruptInputTest : public ::testing::Test {
   }
 
   // Writes `data` to a scratch file and loads it. The loader must not
-  // crash on any input. An accepted file also gets one dictionary probe,
-  // which runs the lazily deferred id-table build over its candidate pool.
+  // crash on any input. An accepted file is also probed with every decoded
+  // candidate row plus the all-zero tuple, so every row of an accepted
+  // (possibly corrupt, possibly unsorted) pool is decoded and searched.
   Status TryLoad(const std::string& data) {
     const std::string p = TempPath("corrupt_case.cqcrep");
     std::ofstream(p, std::ios::binary) << data;
     auto loaded = LoadCompressedRep(*view_, db_, p);
     if (!loaded.ok()) return loaded.status();
     const HeavyDictionary& dict = loaded.value()->dictionary();
-    const Tuple probe(dict.vb_arity(), 0);
-    dict.FindValuation(probe);
+    for (uint32_t id = 0; id < dict.NumCandidates(); ++id)
+      dict.FindValuation(dict.Candidate(id));
+    dict.FindValuation(Tuple(dict.vb_arity(), 0));
     return Status::Ok();
   }
 

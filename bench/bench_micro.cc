@@ -139,7 +139,14 @@ BENCHMARK(BM_CompressedRepAnswerBatched);
 void BM_DictionaryLookup(benchmark::State& state) {
   Fixture& f = F();
   const HeavyDictionary& dict = f.rep->dictionary();
-  uint32_t id = dict.FindValuation(Tuple{1, 33});
+  // Probe a valuation the dictionary keeps (the root's first entry), so
+  // this times slice searches, not Lookup's kNoValuation early return.
+  uint32_t id = HeavyDictionary::kNoValuation;
+  dict.ForEachEntry(f.rep->tree().root(), [&](uint32_t vb_id, bool) {
+    if (id == HeavyDictionary::kNoValuation) id = vb_id;
+  });
+  CQC_CHECK_NE(id, HeavyDictionary::kNoValuation)
+      << "fixture has no root dictionary entry";
   size_t node = 0;
   for (auto _ : state) {
     auto bit = dict.Lookup((int)(node++ % f.rep->tree().size()), id);

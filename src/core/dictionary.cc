@@ -1,6 +1,7 @@
 #include "core/dictionary.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <deque>
 
@@ -68,6 +69,39 @@ void HeavyDictionary::Seal() {
   for (uint32_t id = 1; id < num_candidates_ && vb_arity_ > 0; ++id)
     CQC_CHECK(candidate(id - 1) < candidate(id))
         << "dictionary candidates not in strict lex order at id " << id;
+  // Keep only the candidates some entry names: a valuation without an
+  // entry is light at every node, which FindValuation's kNoValuation
+  // already says. A candidate's new id is its rank among the referenced
+  // ones, a monotone map, so the pool stays lex-sorted, every node slice
+  // stays sorted and ids stay dense. `used` marks the referenced ids and
+  // `rank` counts them per 64-id word; the rows move down in place.
+  std::vector<uint64_t> used((num_candidates_ + 63) / 64, 0);
+  for (uint32_t vb : entry_vb_) used[vb / 64] |= uint64_t{1} << (vb % 64);
+  std::vector<uint32_t> rank(used.size());
+  uint32_t kept = 0;
+  for (size_t w = 0; w < used.size(); ++w) {
+    rank[w] = kept;
+    kept += (uint32_t)std::popcount(used[w]);
+  }
+  if (kept < num_candidates_) {
+    const size_t arity = (size_t)vb_arity_;
+    Value* pool = candidate_pool_.data();
+    uint32_t next = 0;
+    for (uint32_t id = 0; id < num_candidates_; ++id) {
+      if ((used[id / 64] >> (id % 64) & 1) == 0) continue;
+      if (next != id)
+        std::copy_n(pool + id * arity, arity, pool + next * arity);
+      ++next;
+    }
+    uint32_t* vbs = entry_vb_.mutable_data();
+    for (size_t e = 0; e < entry_vb_.size(); ++e) {
+      const uint32_t id = vbs[e];
+      const uint64_t below = (uint64_t{1} << (id % 64)) - 1;
+      vbs[e] = rank[id / 64] + (uint32_t)std::popcount(used[id / 64] & below);
+    }
+    num_candidates_ = kept;
+    candidate_pool_.resize(num_candidates_ * arity);
+  }
   packed_pool_ = PackedTuplePool::Pack(candidate_pool_, vb_arity_,
                                        num_candidates_);
   candidate_pool_.clear();

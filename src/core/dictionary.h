@@ -16,21 +16,27 @@
 //   Entries propagate downward only for pairs whose bit is 1: Algorithm 2
 //   never descends past a light or empty node, so deeper entries for such
 //   valuations are unreachable.
+//   (c) Seal() keeps only the candidates some entry names. A valuation
+//   with no entry is light at every node, and a missing valuation says
+//   exactly that: FindValuation returns kNoValuation, Lookup kAbsent, and
+//   Algorithm 2 evaluates it directly.
 //
 // Storage is flat: interned valuations live in one pool (vb_arity values
-// per candidate, dense ids = pool order), and the per-node entries are a
-// CSR — one offsets array over the tree's node ids plus parallel
-// (valuation id, bit) entry columns sorted by id within each node. The
-// builder appends candidates in lex order from one join pass, and Seal()
-// checks that order, so the pool is its own index: FindValuation is a
-// binary search over pool rows, O(log candidates), the same code for a
-// built and a loaded dictionary. A lookup is then two array reads and a
-// binary search over a contiguous slice. During construction the pool is
-// a raw Value array (spans stay valid for the builder's probes); Seal()
-// bit-packs it to per-column minimal widths (core/bitpack.h) and drops
-// the raw copy, so the served dictionary pays packed bits per candidate
-// and decodes rows branch-free. The whole dictionary serializes as flat
-// array blocks (packed words included, mmap-friendly).
+// per referenced candidate, dense ids = pool order), and the per-node
+// entries are a CSR — one offsets array over the tree's node ids plus
+// parallel (valuation id, bit) entry columns sorted by id within each
+// node. The builder appends candidates in lex order from one join pass,
+// and Seal() checks that order and keeps it when it drops rows, so the
+// pool is its own index: FindValuation is a binary search over pool rows,
+// O(log candidates), the same code for a built and a loaded dictionary.
+// A lookup is then two array reads and a binary search over a contiguous
+// slice. During construction the pool is a raw Value array holding the
+// whole bound join (spans stay valid for the builder's probes); Seal()
+// compacts it to the referenced rows, bit-packs it to per-column minimal
+// widths (core/bitpack.h) and drops the raw copy, so the served
+// dictionary pays packed bits per candidate and decodes rows branch-free.
+// The whole dictionary serializes as flat array blocks (packed words
+// included, mmap-friendly).
 //
 // Thread safety — the read-only-after-seal contract. Construction
 // (AddCandidate) grows the candidate pool, which MOVES memory: a
@@ -72,7 +78,8 @@ class HeavyDictionary {
   size_t LookupEntryIndex(int node, uint32_t vb_id) const;
 
   /// Id of bound valuation `vb` (binary search over the lex-sorted pool),
-  /// or kNoValuation if it is not a candidate or has the wrong arity.
+  /// or kNoValuation if it has no entry at any node (light everywhere) or
+  /// has the wrong arity.
   static constexpr uint32_t kNoValuation = ~0u;
   uint32_t FindValuation(TupleSpan vb) const;
 
@@ -147,8 +154,10 @@ class HeavyDictionary {
   /// has num_nodes + 1 entries; within a node's slice the `entry_vb` ids
   /// must be strictly ascending. The CSR columns may be owned (vectors
   /// convert implicitly) or borrowed from a mapping. Nothing is built
-  /// over the pool, so a snapshot open stays O(header); the pool's lex
-  /// order is not re-checked here (Seal checked it when it was built).
+  /// over or read from the pool, so it costs O(1) whatever the pool size;
+  /// the pool's lex order is not re-checked here (Seal checked it when it
+  /// was built). A pool with rows no entry names (files from builds that
+  /// kept the whole bound join) loads and answers the same.
   static HeavyDictionary FromPacked(int vb_arity, size_t num_candidates,
                                     PackedTuplePool pool,
                                     ColStore<uint32_t> node_offsets,
@@ -188,10 +197,13 @@ class HeavyDictionary {
   }
 
   /// Freezes the structure: CHECKs that the candidate pool is in strict
-  /// lex order (FindValuation's binary search relies on it), bit-packs it
-  /// (dropping the raw build-time copy) and makes any later AddCandidate a
-  /// contract violation (enumeration must never mutate a shared
-  /// dictionary) that aborts in debug/sanitizer builds.
+  /// lex order (FindValuation's binary search relies on it), drops the
+  /// candidates no entry names (compacting the pool in place and renumbering
+  /// entry ids through the monotone old -> new map, so order and per-node
+  /// sorting hold), bit-packs it (dropping the raw build-time copy) and
+  /// makes any later AddCandidate a contract violation (enumeration must
+  /// never mutate a shared dictionary) that aborts in debug/sanitizer
+  /// builds.
   void Seal();
   bool sealed() const { return sealed_; }
 

@@ -67,7 +67,8 @@ struct RepCacheOptions {
   /// zero-copy loader (validated against the current database) before
   /// falling back to a fresh plan + build; PersistEntry() writes such a
   /// snapshot for a cached compressed entry. This is the restart story:
-  /// persist before shutdown, remap on boot in O(header) time.
+  /// persist before shutdown, remap on boot in O(header + tree nodes +
+  /// dictionary entries) time, whatever the candidate pool's size.
   std::string snapshot_dir;
   /// Planner defaults for entries; the per-Get budget overrides
   /// space_budget_exponent. Set planner.churn_per_request > 0 to let the

@@ -3,7 +3,12 @@
 // emptiness of the restricted join, and light reachable pairs are cheap.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/compressed_rep.h"
+#include "core/cursor.h"
+#include "core/serialization.h"
+#include "core/shard_planner.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -115,26 +120,112 @@ TEST(DictionaryInvariantTest, LeafEntriesOnlyOnUnitIntervals) {
   });
 }
 
-TEST(DictionaryInvariantTest, CandidatesAreExactlyBoundJoin) {
-  // Candidates = distinct bound valuations in the join of bound
-  // projections; no access request outside it can have answers.
+TEST(DictionaryInvariantTest, CandidatesAreExactlyReferencedValuations) {
+  // Seal keeps only the valuations some entry names: every candidate id is
+  // referenced, every referenced id round-trips through FindValuation, and
+  // a valuation outside the bound join is no candidate. At tau 2 every
+  // pair of sets is heavy at the root; at tau 6 one is light everywhere.
   Database db;
   MakeSetFamily(db, "R", 6, 20, 50, 0.5, 3);
   AdornedView view = SetIntersectionView();
-  CompressedRepOptions copt;
-  copt.tau = 2.0;
-  auto rep = CompressedRep::Build(view, db, copt);
-  ASSERT_TRUE(rep.ok());
-  const HeavyDictionary& dict = rep.value()->dictionary();
-  // Any (s1, s2) with both sets present is a candidate.
+  for (double tau : {2.0, 6.0}) {
+    CompressedRepOptions copt;
+    copt.tau = tau;
+    auto rep = CompressedRep::Build(view, db, copt);
+    ASSERT_TRUE(rep.ok());
+    const HeavyDictionary& dict = rep.value()->dictionary();
+    std::set<uint32_t> referenced;
+    for (size_t node = 0; node < rep.value()->tree().size(); ++node)
+      dict.ForEachEntry((int)node, [&](uint32_t vb_id, bool) {
+        referenced.insert(vb_id);
+      });
+    ASSERT_FALSE(referenced.empty());
+    EXPECT_EQ(referenced.size(), dict.NumCandidates()) << "tau " << tau;
+    EXPECT_LT(*referenced.rbegin(), dict.NumCandidates());
+    for (uint32_t id : referenced)
+      EXPECT_EQ(dict.FindValuation(dict.Candidate(id)), id);
+    EXPECT_EQ(dict.FindValuation(Tuple{999, 999}),
+              HeavyDictionary::kNoValuation);
+  }
+}
+
+// COUNT over `answers`, grouped by nothing: one group unless empty.
+AggregateResult CountOf(const std::vector<Tuple>& answers) {
+  AggregateResult out;
+  if (!answers.empty()) out.counts.push_back(answers.size());
+  return out;
+}
+
+// Every request a rep serves, for one bound valuation, against the oracle.
+void ExpectServesOracle(const CompressedRep& rep, const BoundValuation& vb,
+                        const std::vector<Tuple>& expected) {
+  SCOPED_TRACE(::testing::Message() << "vb=(" << vb[0] << "," << vb[1] << ")");
+  EXPECT_EQ(CollectAll(*rep.Answer(vb)), expected);
+  EXPECT_EQ(rep.AnswerExists(vb), !expected.empty());
+  // AnswerRange over every shard of a plan: each shard yields exactly the
+  // oracle's tuples inside it.
+  for (const FInterval& range : ShardPlanner::Plan(rep, 4).shards) {
+    std::vector<Tuple> inside;
+    for (const Tuple& t : expected)
+      if (range.Contains(t)) inside.push_back(t);
+    EXPECT_EQ(CollectAll(*rep.AnswerRange(vb, range)), inside);
+  }
+  // Pause halfway, resume: prefix + resumed suffix is the whole answer.
+  CursorEnumerator paused(rep.Answer(vb));
+  std::vector<Tuple> stitched;
+  Tuple t;
+  while (stitched.size() < expected.size() / 2 && paused.Next(&t))
+    stitched.push_back(t);
+  auto resumed = rep.Resume(vb, paused.cursor());
+  ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+  while (resumed.value()->Next(&t)) stitched.push_back(t);
+  EXPECT_EQ(stitched, expected);
+  EXPECT_EQ(rep.AnswerAggregate(vb, {}, AggSpec::Count()), CountOf(expected));
+}
+
+TEST(DictionaryInvariantTest, DroppedValuationsServeLikeKeptOnes) {
+  // A small snapshot_lookup-shaped family: set intersection over a Zipf
+  // author-paper relation. Most author pairs are light at the root, so
+  // Seal drops them; every pair of the bound join, kept or dropped, must
+  // still answer exactly as the oracle says, built and after save/load,
+  // with and without aggregate annotations.
+  Database db;
+  MakeZipfBipartite(db, "R", 24, 60, 240, 0.9, 11);
+  AdornedView view = SetIntersectionView();
   const Relation* r = db.Find("R");
-  std::set<Value> sets;
-  for (size_t i = 0; i < r->size(); ++i) sets.insert(r->At(i, 0));
-  for (Value s1 : sets)
-    for (Value s2 : sets)
-      EXPECT_NE(dict.FindValuation(Tuple{s1, s2}), HeavyDictionary::kNoValuation);
-  EXPECT_EQ(dict.NumCandidates(), sets.size() * sets.size());
-  EXPECT_EQ(dict.FindValuation(Tuple{999, 999}), HeavyDictionary::kNoValuation);
+  std::set<Value> authors;
+  for (size_t i = 0; i < r->size(); ++i) authors.insert(r->At(i, 0));
+  std::vector<std::pair<BoundValuation, std::vector<Tuple>>> cases;
+  for (Value s1 : authors)
+    for (Value s2 : authors) {
+      const BoundValuation vb{s1, s2};
+      cases.emplace_back(vb, testing::OracleAnswer(view, db, vb));
+    }
+  for (bool aggregates : {false, true}) {
+    CompressedRepOptions copt;
+    copt.tau = 8.0;
+    copt.build_aggregates = aggregates;
+    auto built = CompressedRep::Build(view, db, copt);
+    ASSERT_TRUE(built.ok());
+    const HeavyDictionary& dict = built.value()->dictionary();
+    ASSERT_GT(dict.NumCandidates(), 0u);
+    ASSERT_LT(dict.NumCandidates(), cases.size())
+        << "no bound-join valuation was dropped";
+    const std::string path = ::testing::TempDir() + "/dropped_vals.cqcrep";
+    ASSERT_TRUE(SaveCompressedRep(*built.value(), path).ok());
+    auto loaded = LoadCompressedRep(view, db, path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    EXPECT_EQ(loaded.value()->dictionary().NumCandidates(),
+              dict.NumCandidates());
+    for (const CompressedRep* rep : {built.value().get(),
+                                     loaded.value().get()}) {
+      SCOPED_TRACE(::testing::Message()
+                   << (rep == built.value().get() ? "built" : "loaded")
+                   << " aggregates=" << aggregates);
+      for (const auto& [vb, expected] : cases)
+        ExpectServesOracle(*rep, vb, expected);
+    }
+  }
 }
 
 TEST(DictionaryInvariantTest, FixupFlipsDeadBits) {

@@ -177,6 +177,10 @@ class CorruptInputTest : public ::testing::Test {
     copt.tau = 2.0;
     auto rep = CompressedRep::Build(*view_, db_, copt);
     ASSERT_TRUE(rep.ok());
+    // The sweeps below only cover the pool and entry blocks if the base
+    // file has rows in them (Seal keeps only referenced candidates).
+    ASSERT_GE(rep.value()->dictionary().NumCandidates(), 1u);
+    ASSERT_GE(rep.value()->dictionary().NumEntries(), 1u);
     path_ = TempPath("corrupt_base.cqcrep");
     ASSERT_TRUE(SaveCompressedRep(*rep.value(), path_).ok());
     bytes_ = ReadFileBytes(path_);

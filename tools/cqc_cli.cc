@@ -39,8 +39,8 @@ void Usage() {
       "--failpoint SPEC arms a fault-injection site (site[=p[:skip[:max]]],\n"
       "repeatable; the CQC_FAILPOINTS env var works too — docs/robustness.md\n"
       "has the site catalog).\n"
-      "--load maps a CQCREP05 file zero-copy (opens in O(header) time,\n"
-      "pages fault in on demand).\n"
+      "--load maps a CQCREP05 file zero-copy (opens in O(header + tree\n"
+      "nodes + dictionary entries) time, pages fault in on demand).\n"
       "--agg-fraction F prices F of the requests as grouped aggregates\n"
       "(builds annotations into the compressed/updatable candidates).\n"
       "then: one access request per line on stdin (bound values), or an\n"

@@ -12,7 +12,6 @@
 #include "core/cost_model.h"
 #include "core/splitter.h"
 #include "join/generic_join.h"
-#include "relational/hash_index.h"
 #include "simd/kernels.h"
 #include "simd/simd_caps.h"
 #include "util/logging.h"
@@ -315,33 +314,44 @@ void WriteKernelRecords(bench::BenchReport& report) {
   }
 
   {
-    // Tombstone filter: HashIndex::ContainsBatch over staged candidate
-    // blocks — the UpdatableRep delete-filter drain (group tag compares +
-    // batched hash/prefetch).
+    // Tombstone filter: the UpdatableRep delete filter probes each staged
+    // snapshot answer's projections against the tombstoned rows only (the
+    // -1 pending entries, sealed into their own relation). Shape: 1% of a
+    // 100k-row relation tombstoned; every probe is a row of the relation
+    // (snapshot answers project into the base), ~50% of them tombstoned.
+    // Relation::Contains uses no SIMD kernel, so scalar and dispatch
+    // should read alike.
     Relation rel("F", 3);
     for (int i = 0; i < 100000; ++i)
       rel.Insert({rng.Uniform(4096), rng.Uniform(4096), rng.Uniform(4096)});
     rel.Seal();
+    Relation tombstones("F", 3);
+    std::vector<size_t> tombstoned, kept;
+    for (size_t row = 0; row < rel.size(); ++row) {
+      if (row % 100 == 0) {
+        tombstones.Insert({rel.At(row, 0), rel.At(row, 1), rel.At(row, 2)});
+        tombstoned.push_back(row);
+      } else {
+        kept.push_back(row);
+      }
+    }
+    tombstones.Seal();
     const size_t kProbes = 1 << 16;
     std::vector<Value> probes;
     probes.reserve(kProbes * 3);
     for (size_t i = 0; i < kProbes; ++i) {
-      if (rng.Bernoulli(0.5)) {
-        const size_t row = rng.Uniform(rel.size());
-        for (int c = 0; c < 3; ++c) probes.push_back(rel.At(row, c));
-      } else {
-        for (int c = 0; c < 3; ++c) probes.push_back(rng.Uniform(4096) + 4096);
-      }
+      const std::vector<size_t>& pick =
+          rng.Bernoulli(0.5) ? tombstoned : kept;
+      const size_t row = pick[rng.Uniform(pick.size())];
+      for (int c = 0; c < 3; ++c) probes.push_back(rel.At(row, c));
     }
     std::vector<uint8_t> hit(kProbes);
     const int kReps = 20;
     auto measure = [&] {
       return best_of(5, [&] {
         for (int rep = 0; rep < kReps; ++rep)
-          for (size_t base = 0; base < kProbes; base += 256)
-            rel.GetHashIndex().ContainsBatch(
-                probes.data() + base * 3,
-                std::min<size_t>(256, kProbes - base), hit.data() + base);
+          for (size_t i = 0; i < kProbes; ++i)
+            hit[i] = tombstones.Contains(TupleSpan(probes.data() + i * 3, 3));
       });
     };
     const double scalar_s = at_level(simd::Level::kScalar, measure);

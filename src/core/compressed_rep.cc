@@ -97,14 +97,7 @@ Result<std::unique_ptr<CompressedRep>> CompressedRep::MakeSkeleton(
   s.alpha = alpha;
   for (double w : u) s.rho += w;
   std::set<const Relation*> distinct(rels.begin(), rels.end());
-  for (const Relation* r : distinct) {
-    // The hash probe plan is part of the serving structure (index policy:
-    // isolated point probes bypass the tries): build it now rather than on
-    // the first aggregate walk's or update filter's probe.
-    r->GetHashIndex();
-    s.index_bytes += r->IndexBytes();
-    s.hash_index_bytes += r->HashIndexBytes();
-  }
+  for (const Relation* r : distinct) s.index_bytes += r->IndexBytes();
   return std::move(rep);
 }
 
@@ -493,9 +486,9 @@ bool CompressedRep::AnswerExists(const BoundValuation& vb) const {
 
 namespace {
 
-// Split-point membership for the recursive aggregate walks: one hash probe
-// per atom. The walks have no request cursor to reuse (light subtrees drain
-// through their own enumerators), so they keep the hash path.
+// Split-point membership for the recursive aggregate walks: one point
+// probe per atom. The walks have no request cursor to reuse (light subtrees
+// drain through their own enumerators), so they probe each relation.
 bool SplitPointMatches(const std::vector<BoundAtom>& atoms,
                        const BoundValuation& vb, TupleSpan beta) {
   for (const BoundAtom& atom : atoms)

@@ -71,7 +71,9 @@ struct CompressedRepStats {
   size_t tree_bytes = 0;
   size_t dict_bytes = 0;
   size_t index_bytes = 0;       // sorted tries over the base relations
-  size_t hash_index_bytes = 0;  // hash probe plans over the base relations
+  // Always 0: relations keep no hash index (point membership searches the
+  // sorted columns). Kept because benchmark reports read the field.
+  size_t hash_index_bytes = 0;
   size_t agg_bytes = 0;         // aggregate annotation columns (if built)
   // Bytes of tree_bytes/dict_bytes that live in an mmap'ed rep file rather
   // than on the heap (loaded reps only). These count toward TotalBytes

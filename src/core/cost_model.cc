@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "util/logging.h"
-#include "util/op_counter.h"
 
 namespace cqc {
 
@@ -11,10 +10,6 @@ CostModel::CostModel(const std::vector<BoundAtom>* atoms,
                      std::vector<double> exponents)
     : atoms_(atoms), exponents_(std::move(exponents)) {
   CQC_CHECK_EQ(atoms_->size(), exponents_.size());
-}
-
-IndexSelectionStats CostModel::ProbeStats() {
-  return {ops::hash_point_probes, ops::sorted_range_seeks};
 }
 
 namespace {

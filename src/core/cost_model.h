@@ -18,27 +18,11 @@
 
 namespace cqc {
 
-/// Access-path accounting for the index-selection policy. Every count the
-/// cost model issues is a sorted-trie range seek (a lex range has no hash
-/// equivalent), while isolated point-membership probes (Relation::Contains,
-/// BoundAtom::ContainsValuation, the aggregate walks' split points) bypass
-/// the tries entirely via the per-relation HashIndex. The counters are the
-/// thread-local tallies from util/op_counter.h; snapshot deltas around a
-/// region to attribute probes to it (bench_probe and the planner's explain
-/// output do).
-struct IndexSelectionStats {
-  uint64_t hash_point_probes = 0;
-  uint64_t sorted_range_seeks = 0;
-};
-
 class CostModel {
  public:
   /// `atoms` must outlive the model. `exponents[f]` = u^_F for atom f.
   CostModel(const std::vector<BoundAtom>* atoms,
             std::vector<double> exponents);
-
-  /// This thread's cumulative access-path counters since process start.
-  static IndexSelectionStats ProbeStats();
 
   double BoxCost(const FBox& box) const;
   double BoxCostBound(TupleSpan bound_vals, const FBox& box) const;

@@ -1,8 +1,13 @@
 #include "core/serialization.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "core/rep_file.h"
@@ -80,6 +85,15 @@ struct Header {
 template <typename T>
 void Put(std::ostream& out, T v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+// Flushes the file or directory at `path` to stable storage.
+bool SyncPath(const std::string& path, int flags) {
+  const int fd = ::open(path.c_str(), flags);
+  if (fd < 0) return false;
+  const bool ok = ::fsync(fd) == 0;
+  ::close(fd);
+  return ok;
 }
 
 // Bounds-checked sequential reader over the file bytes (the header parse).
@@ -433,8 +447,14 @@ Status SaveCompressedRep(const CompressedRep& rep, const std::string& path) {
   // and — load-bearing for the snapshot cache — an overwrite never touches
   // the old inode, so a live mmap of the previous file keeps reading
   // consistent bytes instead of taking SIGBUS when the file is truncated
-  // under it.
-  const std::string tmp = path + ".tmp";
+  // under it. The temp name is unique per save (pid + a process-wide
+  // counter), so concurrent savers of one path never share a temp file and
+  // the last rename wins with a whole file. The file is fsynced before the
+  // rename and its directory after it, so a crash leaves the old file or
+  // the new one at `path`.
+  static std::atomic<uint64_t> save_seq{0};
+  const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
+                          std::to_string(save_seq.fetch_add(1));
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (!out.is_open()) return Status::Error("cannot open " + tmp);
   out.write(kMagic, sizeof(kMagic));
@@ -465,7 +485,7 @@ Status SaveCompressedRep(const CompressedRep& rep, const std::string& path) {
     pos = h.dir[b].offset + bytes;
   }
   out.close();
-  if (!out.good()) {
+  if (!out.good() || !SyncPath(tmp, O_RDONLY)) {
     std::remove(tmp.c_str());
     return Status::Error("write failed: " + tmp);
   }
@@ -473,6 +493,10 @@ Status SaveCompressedRep(const CompressedRep& rep, const std::string& path) {
     std::remove(tmp.c_str());
     return Status::Error("cannot move " + tmp + " into place");
   }
+  std::string dir = std::filesystem::path(path).parent_path().string();
+  if (dir.empty()) dir = ".";
+  if (!SyncPath(dir, O_RDONLY | O_DIRECTORY))
+    return Status::Error("cannot sync directory " + dir);
   return Status::Ok();
 }
 

@@ -52,12 +52,14 @@ void CopyRelationInto(const Relation& src, Database& out) {
 void UpdatableRep::State::EnsureDerived() const {
   std::call_once(derived_once, [this] {
     auto ins = std::make_unique<Database>();
+    auto tomb = std::make_unique<Database>();
     auto cur = std::make_unique<Database>();
     for (const Relation* r : snapshot->base->AllRelations()) {
       auto it = pending.find(r->name());
       const RelationPending* m =
           it == pending.end() ? nullptr : it->second.get();
       Relation* di = ins->AddRelation(r->name(), r->arity());
+      Relation* dt = tomb->AddRelation(r->name(), r->arity());
       Relation* dc = cur->AddRelation(r->name(), r->arity());
       Tuple row(r->arity());
       for (size_t i = 0; i < r->size(); ++i) {
@@ -73,14 +75,18 @@ void UpdatableRep::State::EnsureDerived() const {
           if (sign > 0) {
             di->Insert(t);
             dc->Insert(t);
+          } else {
+            dt->Insert(t);
           }
         }
       }
       di->Seal();
+      dt->Seal();
       dc->Seal();
     }
     has_tombstones = num_deletes > 0;
     inserts_db = std::move(ins);
+    tombstones_db = std::move(tomb);
     current_db = std::move(cur);
   });
 }
@@ -183,9 +189,8 @@ Status UpdatableRep::Apply(const UpdateBatch& batch) {
       }
       for (const UpdateOp& op : batch) {
         if (op.relation != name) continue;
-        // Canonicalize against the snapshot (one O(1) expected hash
-        // probe): +1 entries are exactly current \ base, -1 entries
-        // base \ current.
+        // Canonicalize against the snapshot (one point probe): +1
+        // entries are exactly current \ base, -1 entries base \ current.
         const bool in_base = r->Contains(op.tuple);
         if (op.kind == UpdateOp::kInsert) {
           if (in_base)
@@ -366,6 +371,7 @@ class UpdatableRep::CombinedEnumerator : public TupleEnumerator {
                         view_->bound_vars(), view_->free_vars());
       cur_.emplace_back(atom, *state_->current_db->Find(atom.relation),
                         view_->bound_vars(), view_->free_vars());
+      tombstones_.push_back(state_->tombstones_db->Find(atom.relation));
     }
   }
 
@@ -441,23 +447,22 @@ class UpdatableRep::CombinedEnumerator : public TupleEnumerator {
   }
 
  private:
-  // Snapshot answers are staged in blocks so the tombstone filter runs as
-  // one batch per atom: scatter the block's keys, then a prefetched group
-  // probe sweep of the hash index (8 probes in flight), instead of a
-  // dependent chain of point probes per answer. The block is a
-  // NextBatch-only amortization: the single-tuple path refills one answer,
-  // preserving the strict (not amortized) constant delay bound per Next()
-  // — the per-request worst-gap percentiles in BENCH_updates.json gate
-  // exactly that, and a block refill inside Next() would turn the worst
-  // gap into a block's worth of work.
+  // Snapshot answers are staged in blocks so NextBatch appends survivors
+  // straight from the stage buffer. The block is a NextBatch-only
+  // amortization: the single-tuple path refills one answer, preserving the
+  // strict (not amortized) constant delay bound per Next() — the
+  // per-request worst-gap percentiles in BENCH_updates.json gate exactly
+  // that, and a block refill inside Next() would turn the worst gap into a
+  // block's worth of work.
   static constexpr size_t kStageBlock = 64;
 
   // Pulls the next `block` snapshot answers into stage_ and computes the
   // survivor mask. Returns false iff the snapshot stream is exhausted.
-  // keep_ stays empty when there are no tombstones (everything survives —
-  // a full natural-join answer has a unique derivation, so with deletions
-  // it survives iff every atom's projection is still present in the
-  // current data).
+  // keep_ stays empty when there are no tombstones (everything survives).
+  // Otherwise an answer survives iff no atom's projection is tombstoned:
+  // every projection of a snapshot answer lies in the base, and the -1
+  // pending entries are exactly base \ current (pending is canonical), so
+  // probing the tombstones alone is exact.
   bool RefillStage(size_t block) {
     stage_.Clear();
     stage_pos_ = 0;
@@ -466,10 +471,14 @@ class UpdatableRep::CombinedEnumerator : public TupleEnumerator {
     if (got == 0) return false;
     if (!state_->has_tombstones) return true;
     keep_.assign(got, 1);
-    const size_t mu = (size_t)view_->num_free();
-    for (const BoundAtom& atom : cur_)
-      atom.FilterValuations(vb_, stage_.data(), mu, got, keep_.data(),
-                            &probe_ws_);
+    for (size_t i = 0; i < got; ++i) {
+      for (size_t a = 0; a < old_.size(); ++a) {
+        if (old_[a].ContainsValuationIn(*tombstones_[a], vb_, stage_[i])) {
+          keep_[i] = 0;
+          break;
+        }
+      }
+    }
     return true;
   }
   // Signed delta term i: atom i ranges over the net inserts, every other
@@ -512,8 +521,10 @@ class UpdatableRep::CombinedEnumerator : public TupleEnumerator {
   TupleBuffer stage_;
   size_t stage_pos_ = 0;
   std::vector<uint8_t> keep_;  // per-staged-tuple survivor mask
-  BoundAtom::ProbeBatch probe_ws_;
   std::vector<BoundAtom> old_, ins_, cur_;
+  // Per atom, its relation's tombstones (probed through old_'s column
+  // maps: binding atoms to them would build sorted indexes per epoch).
+  std::vector<const Relation*> tombstones_;
   int term_ = 0;
   std::optional<JoinIterator> term_join_;
   std::unordered_set<Tuple, TupleHash> emitted_;

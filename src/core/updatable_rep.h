@@ -13,9 +13,10 @@
 //   (1) the Theorem-1 enumeration over the snapshot (lexicographic),
 //       *filtered* against tombstones: a full natural-join answer has a
 //       unique derivation (one base tuple per atom, determined by
-//       projection), so a snapshot answer survives iff every atom's
-//       projection is still present in the current data — one O(1)
-//       expected hash probe per atom (relational/hash_index.h); and
+//       projection), so a snapshot answer survives iff no atom's
+//       projection is tombstoned — one sorted point probe per atom into
+//       that relation's tombstones, a set of at most
+//       `rebuild_fraction * |D|` rows; and
 //   (2) the signed delta-join expansion over the pending inserts:
 //         Q(D') \ Q(D) = union_i  join(M_1, .., M_{i-1}, dR_i+, M_{i+1},
 //                                      .., M_n)
@@ -192,11 +193,13 @@ class UpdatableRep {
     // Lazily derived from (snapshot, pending); immutable once built.
     mutable std::once_flag derived_once;
     mutable std::unique_ptr<Database> inserts_db;  // net-inserted tuples
+    mutable std::unique_ptr<Database> tombstones_db;  // deleted base tuples
     mutable std::shared_ptr<const Database> current_db;  // base -/+ delta
     mutable bool has_tombstones = false;
 
     bool HasPending() const { return num_inserts + num_deletes > 0; }
-    /// Builds inserts_db / current_db (idempotent, thread-safe).
+    /// Builds inserts_db / tombstones_db / current_db (idempotent,
+    /// thread-safe).
     void EnsureDerived() const;
   };
 

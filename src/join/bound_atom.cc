@@ -156,43 +156,17 @@ std::vector<BoundAtom> BindAtomsParallel(
   return atoms;
 }
 
-bool BoundAtom::ContainsValuation(TupleSpan bound_vals,
-                                  TupleSpan free_vals) const {
-  // Point membership: scatter the valuation into schema column order (the
-  // per-atom probe plan cached at bind time) and hit the relation's hash
-  // index — one probe instead of a binary search per column.
+bool BoundAtom::ContainsValuationIn(const Relation& rel,
+                                    TupleSpan bound_vals,
+                                    TupleSpan free_vals) const {
+  // Scatter the valuation into schema column order (the column maps are
+  // fixed at bind time) and probe the relation's sorted columns.
   Value key[kMaxVars];
   for (size_t i = 0; i < bound_cols_.size(); ++i)
     key[bound_cols_[i]] = bound_vals[bound_positions_[i]];
   for (size_t i = 0; i < free_cols_.size(); ++i)
     key[free_cols_[i]] = free_vals[free_positions_[i]];
-  return rel_->Contains(TupleSpan(key, (size_t)rel_->arity()));
-}
-
-void BoundAtom::FilterValuations(TupleSpan bound_vals, const Value* free_vals,
-                                 size_t stride, size_t n, uint8_t* keep,
-                                 ProbeBatch* ws) const {
-  const size_t arity = (size_t)rel_->arity();
-  // Bound columns are shared by every key in the block: scatter them once.
-  Value key[kMaxVars];
-  for (size_t i = 0; i < bound_cols_.size(); ++i)
-    key[bound_cols_[i]] = bound_vals[bound_positions_[i]];
-  ws->keys.clear();
-  ws->ids.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (!keep[i]) continue;
-    const Value* vf = free_vals + i * stride;
-    for (size_t k = 0; k < free_cols_.size(); ++k)
-      key[free_cols_[k]] = vf[free_positions_[k]];
-    ws->keys.insert(ws->keys.end(), key, key + arity);
-    ws->ids.push_back((uint32_t)i);
-  }
-  const size_t m = ws->ids.size();
-  if (m == 0) return;
-  ws->hits.assign(m, 0);
-  rel_->ContainsBatch(ws->keys.data(), m, ws->hits.data());
-  for (size_t j = 0; j < m; ++j)
-    if (!ws->hits[j]) keep[ws->ids[j]] = 0;
+  return rel.Contains(TupleSpan(key, (size_t)rel_->arity()));
 }
 
 }  // namespace cqc

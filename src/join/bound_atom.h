@@ -2,8 +2,8 @@
 // columns, with the two sorted-trie access paths the paper's data structure
 // needs:
 //
-//   * bf order  [bound cols..., free cols...]  — counting |R_F(v, B)|,
-//     access-time joins over the free variables, and membership probes;
+//   * bf order  [bound cols..., free cols...]  — counting |R_F(v, B)| and
+//     access-time joins over the free variables;
 //   * fb order  [free cols..., bound cols...]  — counting |R_F(B)| with no
 //     bound valuation, used while building the delay-balanced tree
 //     (Algorithm 1 / Lemma 3).
@@ -64,28 +64,18 @@ class BoundAtom {
   RowRange SeekBound(TupleSpan bound_vals) const;
 
   /// Membership: does the relation contain the row given by `bound_vals`
-  /// (view bound order) + `free_vals` (view free order)? O(1) expected via
-  /// the relation's hash index (point probes never pay the sorted-trie
-  /// log-factor; lex-range refinement stays on the tries).
-  bool ContainsValuation(TupleSpan bound_vals, TupleSpan free_vals) const;
+  /// (view bound order) + `free_vals` (view free order)? Scatters the
+  /// valuation into schema column order and runs one Relation::Contains,
+  /// O(arity * log N).
+  bool ContainsValuation(TupleSpan bound_vals, TupleSpan free_vals) const {
+    return ContainsValuationIn(*rel_, bound_vals, free_vals);
+  }
 
-  /// Reusable scratch for FilterValuations (keys in schema order, the ids
-  /// of the surviving tuples they came from, and the probe results).
-  struct ProbeBatch {
-    std::vector<Value> keys;
-    std::vector<uint32_t> ids;
-    std::vector<uint8_t> hits;
-  };
-
-  /// Batch ContainsValuation: clears keep[i] for every i in [0, n) where
-  /// the relation does NOT contain (bound_vals, free tuple i); entries with
-  /// keep[i] == 0 on entry are skipped. Free tuples are row-major in
-  /// `free_vals`, `stride` values each. Scatters the survivors' keys into
-  /// schema order once, then drives one prefetched batch hash probe instead
-  /// of n dependent point probes.
-  void FilterValuations(TupleSpan bound_vals, const Value* free_vals,
-                        size_t stride, size_t n, uint8_t* keep,
-                        ProbeBatch* ws) const;
+  /// The same probe against `rel`, another relation with this atom's
+  /// schema (the update path's tombstones), without binding an atom to it
+  /// and so without building its sorted indexes.
+  bool ContainsValuationIn(const Relation& rel, TupleSpan bound_vals,
+                           TupleSpan free_vals) const;
 
   const SortedIndex& bf_index() const { return *bf_index_; }
   const SortedIndex& fb_index() const { return *fb_index_; }

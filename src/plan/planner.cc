@@ -76,7 +76,8 @@ std::string Plan::Explain() const {
   }
   out += "\n";
   out +=
-      "index policy: isolated point probes -> hash index (O(1) expected); "
+      "index policy: isolated point probes -> binary search over the "
+      "relation's sorted columns; "
       "enumeration split points -> hinted seeks of the request's forward "
       "join cursor; lex-range scans and count oracle -> sorted tries\n";
   if (churn_per_request > 0)

@@ -4,10 +4,10 @@
 #include <numeric>
 
 #include "exec/par_util.h"
-#include "relational/hash_index.h"
 #include "relational/sorted_index.h"
 #include "util/hashing.h"
 #include "util/logging.h"
+#include "util/op_counter.h"
 
 namespace cqc {
 
@@ -122,23 +122,21 @@ const SortedIndex& Relation::GetIndex(const std::vector<int>& perm) const {
   return *slot->index;
 }
 
-const HashIndex& Relation::GetHashIndex() const {
-  CQC_CHECK(sealed_);
-  std::call_once(hash_once_, [&] {
-    hash_index_ = std::make_unique<HashIndex>(*this);
-    hash_ready_.store(true, std::memory_order_release);
-  });
-  return *hash_index_;
-}
-
 bool Relation::Contains(TupleSpan t) const {
+  CQC_CHECK(sealed_);
   CQC_CHECK_EQ((int)t.size(), arity_);
-  return GetHashIndex().Contains(t);
-}
-
-void Relation::ContainsBatch(const Value* flat, size_t n,
-                             uint8_t* out) const {
-  GetHashIndex().ContainsBatch(flat, n, out);
+  ops::Bump();
+  ops::BumpHashProbe();
+  // Rows are lex-sorted in identity column order, so the rows matching a
+  // prefix t[0..c) form one range, and column c is sorted within it.
+  size_t lo = 0, hi = num_rows_;
+  for (int c = 0; c < arity_ && lo < hi; ++c) {
+    const Value* col = cols_[c].data();
+    const auto [first, last] = std::equal_range(col + lo, col + hi, t[c]);
+    lo = first - col;
+    hi = last - col;
+  }
+  return lo < hi;
 }
 
 uint64_t Relation::ContentHash() const {
@@ -170,11 +168,6 @@ size_t Relation::IndexBytes() const {
     if (slot->ready.load(std::memory_order_acquire))
       bytes += slot->index->MemoryBytes();
   return bytes;
-}
-
-size_t Relation::HashIndexBytes() const {
-  return hash_ready_.load(std::memory_order_acquire) ? hash_index_->MemoryBytes()
-                                                     : 0;
 }
 
 }  // namespace cqc

@@ -2,13 +2,14 @@
 //
 // Relations are immutable once Seal()ed: construction bulk-loads tuples,
 // Seal() sorts, deduplicates, and computes per-column active domains.
-// Two access paths are built lazily and cached on the relation:
-//   * SortedIndexes (relational/sorted_index.h) over arbitrary column
-//     permutations — lex-range iteration and the counting oracle;
-//   * one HashIndex (relational/hash_index.h) — point membership.
-// Both caches are guarded so concurrent readers (parallel enumeration,
-// parallel rep builds) can trigger first-use builds safely; an index is
-// built exactly once and immutable afterwards.
+// Point membership (Contains) searches the sealed columns themselves, which
+// are lex-sorted in identity column order, so it needs no index. Lex-range
+// iteration and the counting oracle use SortedIndexes
+// (relational/sorted_index.h) over arbitrary column permutations, built
+// lazily and cached on the relation. The cache is guarded so concurrent
+// readers (parallel enumeration, parallel rep builds) can trigger
+// first-use builds safely; an index is built exactly once and immutable
+// afterwards.
 #ifndef CQC_RELATIONAL_RELATION_H_
 #define CQC_RELATIONAL_RELATION_H_
 
@@ -23,7 +24,6 @@
 
 namespace cqc {
 
-class HashIndex;
 class SortedIndex;
 
 /// A named relation of fixed arity holding a set of tuples.
@@ -54,8 +54,7 @@ class Relation {
   Value At(size_t row, int col) const;
 
   /// Raw post-seal column storage (num rows values, row-sorted). The
-  /// pointer is stable for the relation's lifetime — the zero-copy probe
-  /// path HashIndex builds on.
+  /// pointer is stable for the relation's lifetime.
   const Value* ColumnData(int col) const { return cols_[col].data(); }
 
   /// The sorted distinct values appearing in column `col`.
@@ -67,22 +66,12 @@ class Relation {
   /// the same perm share one build; distinct perms build concurrently.
   const SortedIndex& GetIndex(const std::vector<int>& perm) const;
 
-  /// The point-membership index (built and cached on first use). This is
-  /// the relation's probe plan: resolved once, shared by every Contains /
-  /// ContainsValuation call instead of re-deriving a permutation per probe.
-  const HashIndex& GetHashIndex() const;
-
-  /// True iff the tuple (given in schema column order) is present. O(1)
-  /// expected via the hash probe plan (policy: point probes go to the hash
-  /// index, range scans to the sorted tries). Accepts any span view (Tuple
-  /// converts implicitly) — no materialization.
+  /// True iff the tuple (given in schema column order) is present. The
+  /// only point-membership path: one equal-range search per column over
+  /// the sealed, lex-sorted columns, O(arity * log N), with no index and
+  /// no lazy state. Accepts any span view (Tuple converts implicitly) — no
+  /// materialization.
   bool Contains(TupleSpan t) const;
-
-  /// Batch membership over `n` tuples laid out row-major in `flat`
-  /// (n * arity values): out[i] = 1 iff the relation contains tuple i.
-  /// Same probe plan as Contains, with hashes and prefetches pipelined a
-  /// block ahead (HashIndex::ContainsBatch).
-  void ContainsBatch(const Value* flat, size_t n, uint8_t* out) const;
 
   /// Order-insensitive 64-bit digest of the relation's content (rows are
   /// canonically sorted after Seal, so this identifies the tuple set).
@@ -94,8 +83,6 @@ class Relation {
   size_t BaseBytes() const;
   /// Approximate heap footprint of all cached sorted indexes.
   size_t IndexBytes() const;
-  /// Approximate heap footprint of the hash probe plan (0 until first use).
-  size_t HashIndexBytes() const;
 
  private:
   // A lazily-built sorted index: the map entry is created under the cache
@@ -119,9 +106,6 @@ class Relation {
   std::vector<std::vector<Value>> active_domains_;
   mutable std::mutex index_mu_;  // guards the cache map shape only
   mutable std::map<std::vector<int>, std::shared_ptr<IndexSlot>> index_cache_;
-  mutable std::once_flag hash_once_;
-  mutable std::unique_ptr<HashIndex> hash_index_;
-  mutable std::atomic<bool> hash_ready_{false};
   mutable std::once_flag content_hash_once_;
   mutable uint64_t content_hash_ = 0;
 };

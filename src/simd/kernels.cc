@@ -92,25 +92,8 @@ void UnpackRowsScalar(const uint64_t* words, const PackedColSpec* cols,
   }
 }
 
-uint32_t MatchTagsScalar(const uint8_t* fps, uint8_t tag) {
-  uint32_t m = 0;
-  for (size_t i = 0; i < kGroupWidth; ++i) {
-    m |= (uint32_t)(fps[i] == tag) << i;
-  }
-  return m;
-}
-
-uint32_t MatchEmptyScalar(const uint32_t* rows, uint32_t empty) {
-  uint32_t m = 0;
-  for (size_t i = 0; i < kGroupWidth; ++i) {
-    m |= (uint32_t)(rows[i] == empty) << i;
-  }
-  return m;
-}
-
 constexpr KernelTable kScalarTable = {
     &SeekGEScalar, &RunEndScalar, &UnpackRowsScalar,
-    &MatchTagsScalar, &MatchEmptyScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -180,28 +163,8 @@ __attribute__((target("sse4.2"))) size_t RunEndSse(const Value* col,
   return RunEndGallop(col, i, end, v);
 }
 
-__attribute__((target("sse4.2"))) uint32_t MatchTagsSse(const uint8_t* fps,
-                                                        uint8_t tag) {
-  const __m128i t = _mm_set1_epi8((char)tag);
-  const __m128i d = _mm_loadu_si128((const __m128i*)fps);
-  return (uint32_t)_mm_movemask_epi8(_mm_cmpeq_epi8(d, t));
-}
-
-__attribute__((target("sse4.2"))) uint32_t MatchEmptySse(const uint32_t* rows,
-                                                         uint32_t empty) {
-  const __m128i e = _mm_set1_epi32((int)empty);
-  uint32_t m = 0;
-  for (size_t i = 0; i < kGroupWidth; i += 4) {
-    const __m128i d = _mm_loadu_si128((const __m128i*)(rows + i));
-    m |= (uint32_t)_mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(d, e)))
-         << i;
-  }
-  return m;
-}
-
 constexpr KernelTable kSseTable = {
     &SeekGESse, &RunEndSse, &UnpackRowsScalar,  // no gathers below AVX2
-    &MatchTagsSse, &MatchEmptySse,
 };
 
 __attribute__((target("avx2"))) size_t SeekGEAvx2(const Value* col,
@@ -312,22 +275,8 @@ __attribute__((target("avx2"))) void UnpackRowsAvx2(
   }
 }
 
-__attribute__((target("avx2"))) uint32_t MatchEmptyAvx2(const uint32_t* rows,
-                                                        uint32_t empty) {
-  const __m256i e = _mm256_set1_epi32((int)empty);
-  const __m256i d0 = _mm256_loadu_si256((const __m256i*)rows);
-  const __m256i d1 = _mm256_loadu_si256((const __m256i*)(rows + 8));
-  const uint32_t m0 =
-      (uint32_t)_mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(d0, e)));
-  const uint32_t m1 =
-      (uint32_t)_mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(d1, e)));
-  return m0 | (m1 << 8);
-}
-
 constexpr KernelTable kAvx2Table = {
     &SeekGEAvx2, &RunEndAvx2, &UnpackRowsAvx2,
-    &MatchTagsSse,  // 16-byte tag compare is already one SSE op
-    &MatchEmptyAvx2,
 };
 
 #endif  // x86
@@ -387,35 +336,8 @@ size_t RunEndNeon(const Value* col, size_t pos, size_t end) {
   return RunEndGallop(col, i, end, v);
 }
 
-uint32_t MatchTagsNeon(const uint8_t* fps, uint8_t tag) {
-  const uint8x16_t d = vld1q_u8(fps);
-  const uint8x16_t eq = vceqq_u8(d, vdupq_n_u8(tag));
-  // Collapse each byte lane to one bit: shift lane i's 0xff down to bit i.
-  static const int8_t kShifts[16] = {0, 1, 2, 3, 4, 5, 6, 7,
-                                     0, 1, 2, 3, 4, 5, 6, 7};
-  const uint8x16_t bits =
-      vshlq_u8(vandq_u8(eq, vdupq_n_u8(1)), vld1q_s8(kShifts));
-  const uint8_t lo = vaddv_u8(vget_low_u8(bits));
-  const uint8_t hi = vaddv_u8(vget_high_u8(bits));
-  return (uint32_t)lo | ((uint32_t)hi << 8);
-}
-
-uint32_t MatchEmptyNeon(const uint32_t* rows, uint32_t empty) {
-  const uint32x4_t e = vdupq_n_u32(empty);
-  uint32_t m = 0;
-  for (size_t i = 0; i < kGroupWidth; i += 4) {
-    const uint32x4_t eq = vceqq_u32(vld1q_u32(rows + i), e);
-    const uint32x4_t bits =
-        vshlq_u32(vandq_u32(eq, vdupq_n_u32(1)),
-                  (int32x4_t){0, 1, 2, 3});
-    m |= vaddvq_u32(bits) << i;
-  }
-  return m;
-}
-
 constexpr KernelTable kNeonTable = {
     &SeekGENeon, &RunEndNeon, &UnpackRowsScalar,  // no gather on NEON
-    &MatchTagsNeon, &MatchEmptyNeon,
 };
 
 #endif  // aarch64

@@ -1,4 +1,4 @@
-// SIMD kernels for the three hottest inner loops, behind runtime dispatch
+// SIMD kernels for the two hottest inner loops, behind runtime dispatch
 // (simd/simd_caps.h):
 //
 //   * SeekGE / RunEnd — sorted-column search steps backing
@@ -10,10 +10,6 @@
 //     (core/bitpack.h): per column, gather the two covering words for a
 //     block of rows and splice with vector variable shifts, instead of the
 //     scalar two-word splice per field.
-//   * MatchTags / MatchEmpty — 16-slot group probes for the flat hash
-//     index (relational/hash_index.h): one vector compare yields the
-//     fingerprint-match and empty-slot masks of a whole cluster window,
-//     backing the block tombstone filter in core/updatable_rep.cc.
 //
 // Every kernel has a scalar twin with IDENTICAL output semantics (the
 // differential suite in tests/simd_kernels_test.cc sweeps all levels and
@@ -42,11 +38,6 @@ struct PackedColSpec {
   uint64_t mask = 0;     // (1 << width) - 1, ~0 for width 64, 0 for width 0
 };
 
-/// Number of slots a hash-index group probe examines per step. The fps /
-/// rows arrays must be padded with kGroupWidth mirrored slots past the
-/// power-of-two capacity so a group starting anywhere reads contiguously.
-inline constexpr size_t kGroupWidth = 16;
-
 namespace detail {
 
 /// The dispatch table. One instance per level lives in kernels.cc; the
@@ -64,10 +55,6 @@ struct KernelTable {
   void (*unpack_rows)(const uint64_t* words, const PackedColSpec* cols,
                       int arity, size_t row_bits, size_t first, size_t n,
                       Value* out);
-  /// Bit i set <=> fps[i] == tag, for i in [0, kGroupWidth).
-  uint32_t (*match_tags)(const uint8_t* fps, uint8_t tag);
-  /// Bit i set <=> rows[i] == empty, for i in [0, kGroupWidth).
-  uint32_t (*match_empty)(const uint32_t* rows, uint32_t empty);
 };
 
 extern const KernelTable* g_active;
@@ -86,14 +73,6 @@ inline void UnpackRows(const uint64_t* words, const PackedColSpec* cols,
                        int arity, size_t row_bits, size_t first, size_t n,
                        Value* out) {
   detail::g_active->unpack_rows(words, cols, arity, row_bits, first, n, out);
-}
-
-inline uint32_t MatchTags(const uint8_t* fps, uint8_t tag) {
-  return detail::g_active->match_tags(fps, tag);
-}
-
-inline uint32_t MatchEmpty(const uint32_t* rows, uint32_t empty) {
-  return detail::g_active->match_empty(rows, empty);
 }
 
 }  // namespace simd

@@ -20,10 +20,12 @@ inline void Bump(uint64_t n = 1) { counter += n; }
 /// Current per-thread operation count.
 inline uint64_t Now() { return counter; }
 
-// Access-path accounting for the index-selection policy (hash for point
-// probes, sorted tries for lex-range seeks). Same thread-local idiom as the
-// delay clock: the hot paths pay one register add, and callers snapshot
-// deltas around a region to attribute probes to it.
+// Access-path accounting: point-membership probes (Relation::Contains, a
+// binary search over the relation's sorted columns; the counter keeps its
+// historical name because benchmark reports read it by that name) and
+// sorted-trie lex-range seeks. Same thread-local idiom as the delay clock:
+// the hot paths pay one register add, and callers snapshot deltas around a
+// region to attribute probes to it.
 inline thread_local uint64_t hash_point_probes = 0;
 inline thread_local uint64_t sorted_range_seeks = 0;
 

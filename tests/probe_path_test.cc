@@ -1,11 +1,13 @@
-// The probe-path overhaul: hash-vs-sorted membership agreement, the
-// bit-packed candidate pool, and parallel rep builds.
+// The probe-path overhaul: point-membership agreement, the bit-packed
+// candidate pool, and parallel rep builds.
 //
-//  * HashIndex must agree with the sorted-trie membership walk on every
-//    present and absent tuple, under randomized inserts with duplicates
-//    (set semantics collapse them at Seal).
-//  * BoundAtom::ContainsValuation (now one hash probe through the cached
-//    column scatter) must agree with the reference bf-trie refinement walk.
+//  * Relation::Contains (a binary search over the sealed columns) must
+//    agree with the sorted-trie membership walk on every present and
+//    absent tuple, under randomized inserts with duplicates (set semantics
+//    collapse them at Seal), including probes just outside the domain.
+//  * BoundAtom::ContainsValuation (one Relation::Contains through the
+//    cached column scatter) must agree with the reference bf-trie
+//    refinement walk.
 //  * PackedTuplePool round-trips arbitrary rows branch-free, including
 //    zero-width and 64-bit-wide columns.
 //  * Serialization (CQCREP03) must round-trip byte-identically:
@@ -22,7 +24,6 @@
 #include "exec/par_util.h"
 #include "join/bound_atom.h"
 #include "query/parser.h"
-#include "relational/hash_index.h"
 #include "relational/relation.h"
 #include "relational/sorted_index.h"
 #include "tests/test_util.h"
@@ -47,7 +48,7 @@ bool SortedContains(const Relation& rel, TupleSpan t) {
   return !r.empty();
 }
 
-TEST(HashIndex, AgreesWithSortedMembershipUnderRandomizedInserts) {
+TEST(ProbePath, AgreesWithSortedMembershipUnderRandomizedInserts) {
   for (uint64_t seed : {1u, 7u, 42u}) {
     Rng rng(seed);
     const int arity = 1 + (int)rng.Uniform(4);
@@ -63,23 +64,46 @@ TEST(HashIndex, AgreesWithSortedMembershipUnderRandomizedInserts) {
       if (rng.Bernoulli(0.3)) rel.Insert(t);  // duplicate insert
     }
     rel.Seal();
-    const HashIndex& hash = rel.GetHashIndex();
-    EXPECT_EQ(hash.num_rows(), rel.size());
-    // Every inserted tuple is present; random tuples agree both ways.
+    // Every inserted tuple is present.
     for (const Tuple& t : inserted) {
-      EXPECT_TRUE(hash.Contains(t)) << "seed " << seed;
-      EXPECT_TRUE(rel.Contains(t));
+      EXPECT_TRUE(rel.Contains(t)) << "seed " << seed;
+      EXPECT_TRUE(SortedContains(rel, t));
     }
+    // Random probes over the domain and a little past both of its ends
+    // (values below the smallest and above the largest stored value, and
+    // the extreme Value) agree with the trie walk, hits and misses alike.
+    size_t misses = 0;
     for (int i = 0; i < 2000; ++i) {
       Tuple t(arity);
-      for (int c = 0; c < arity; ++c) t[c] = rng.Uniform(domain + 3);
-      EXPECT_EQ(hash.Contains(t), SortedContains(rel, t))
-          << "seed " << seed << " probe " << i;
+      for (int c = 0; c < arity; ++c) {
+        const uint64_t kind = rng.Uniform(16);
+        t[c] = kind == 0   ? ~Value{0}
+               : kind == 1 ? domain + rng.Uniform(3)
+                           : rng.Uniform(domain);
+      }
+      const bool want = SortedContains(rel, t);
+      EXPECT_EQ(rel.Contains(t), want) << "seed " << seed << " probe " << i;
+      if (!want) ++misses;
+    }
+    EXPECT_GT(misses, 0u) << "seed " << seed;
+    // Present rows, probed column by column one step off, must miss
+    // exactly when the trie walk misses.
+    for (size_t r = 0; r < rel.size(); r += 7) {
+      Tuple t(arity);
+      for (int c = 0; c < arity; ++c) t[c] = rel.At(r, c);
+      ASSERT_TRUE(rel.Contains(t));
+      for (int c = 0; c < arity; ++c) {
+        Tuple up = t, down = t;
+        ++up[c];
+        --down[c];
+        EXPECT_EQ(rel.Contains(up), SortedContains(rel, up));
+        EXPECT_EQ(rel.Contains(down), SortedContains(rel, down));
+      }
     }
   }
 }
 
-TEST(HashIndex, ContainsValuationAgreesWithTrieWalk) {
+TEST(ProbePath, ContainsValuationAgreesWithTrieWalk) {
   Database db;
   Rng rng(5);
   std::vector<Tuple> rows;

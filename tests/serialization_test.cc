@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
+#include <thread>
 
 #include "core/serialization.h"
 #include "query/parser.h"
@@ -327,6 +330,67 @@ TEST(SerializationTest, BooleanViewRoundTrip) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().message();
   EXPECT_TRUE(loaded.value()->AnswerExists({1, 2}));
   EXPECT_FALSE(loaded.value()->AnswerExists({1, 4}));
+}
+
+// Several threads save different structures to one path at once. Each save
+// must succeed, the installed file must be one saver's whole
+// serialization (never an interleaving of two), it must load, and no temp
+// file may be left beside it.
+TEST(SerializationTest, ConcurrentSavesToOnePathInstallOneWholeFile) {
+  Database db;
+  MakeRandomGraph(db, "R", 40, 600, true, 21);
+  AdornedView view = TriangleView("bfb");
+  const std::vector<double> taus = {1.0, 2.0, 4.0, 8.0};
+  const std::filesystem::path dir = TempPath("concurrent_saves");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+
+  std::vector<std::unique_ptr<CompressedRep>> reps;
+  std::vector<std::string> own_bytes;  // each rep's own serialization
+  for (size_t i = 0; i < taus.size(); ++i) {
+    CompressedRepOptions copt;
+    copt.tau = taus[i];
+    auto rep = CompressedRep::Build(view, db, copt);
+    ASSERT_TRUE(rep.ok());
+    const std::string own = (dir / ("own" + std::to_string(i))).string();
+    ASSERT_TRUE(SaveCompressedRep(*rep.value(), own).ok());
+    own_bytes.push_back(ReadFileBytes(own));
+    std::filesystem::remove(own);
+    reps.push_back(std::move(rep).value());
+  }
+
+  const std::string shared = (dir / "shared.cqcrep").string();
+  for (int round = 0; round < 10; ++round) {
+    std::atomic<size_t> arrived{0};
+    std::vector<Status> results(reps.size());
+    std::vector<std::thread> savers;
+    for (size_t i = 0; i < reps.size(); ++i) {
+      savers.emplace_back([&, i] {
+        arrived.fetch_add(1);
+        while (arrived.load() < reps.size()) std::this_thread::yield();
+        results[i] = SaveCompressedRep(*reps[i], shared);
+      });
+    }
+    for (std::thread& t : savers) t.join();
+    for (size_t i = 0; i < reps.size(); ++i)
+      EXPECT_TRUE(results[i].ok())
+          << "round " << round << " saver " << i << ": "
+          << results[i].message();
+
+    const std::string installed = ReadFileBytes(shared);
+    int winner = -1;
+    for (size_t i = 0; i < own_bytes.size(); ++i)
+      if (installed == own_bytes[i]) winner = (int)i;
+    ASSERT_GE(winner, 0) << "round " << round
+                         << ": installed file is no saver's serialization";
+    auto loaded = LoadCompressedRep(view, db, shared);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().message();
+    EXPECT_DOUBLE_EQ(loaded.value()->tau(), taus[winner]);
+    for (const auto& entry : std::filesystem::directory_iterator(dir))
+      EXPECT_EQ(entry.path().filename().string().find(".tmp"),
+                std::string::npos)
+          << "leftover temp file " << entry.path();
+  }
 }
 
 }  // namespace

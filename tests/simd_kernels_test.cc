@@ -19,7 +19,6 @@
 
 #include "core/bitpack.h"
 #include "core/updatable_rep.h"
-#include "relational/hash_index.h"
 #include "relational/relation.h"
 #include "simd/kernels.h"
 #include "simd/simd_caps.h"
@@ -211,67 +210,6 @@ TEST_F(SimdKernelsTest, UnpackRowsMatchesUnpackRowRandomized) {
   }
 }
 
-TEST_F(SimdKernelsTest, MatchTagsAndMatchEmptyMatchBitwiseReference) {
-  Rng rng(99);
-  alignas(64) uint8_t fps[simd::kGroupWidth];
-  alignas(64) uint32_t rows[simd::kGroupWidth];
-  for (int trial = 0; trial < 500; ++trial) {
-    for (auto& f : fps) f = (uint8_t)rng.Uniform(4);  // force collisions
-    for (auto& r : rows)
-      r = rng.Bernoulli(0.3) ? ~0u : (uint32_t)rng.Uniform(100);
-    const uint8_t tag = (uint8_t)rng.Uniform(4);
-    uint32_t want_tags = 0, want_empty = 0;
-    for (size_t i = 0; i < simd::kGroupWidth; ++i) {
-      if (fps[i] == tag) want_tags |= 1u << i;
-      if (rows[i] == ~0u) want_empty |= 1u << i;
-    }
-    for (simd::Level level : simd::SupportedLevels()) {
-      ASSERT_EQ(simd::SetLevel(level), level);
-      ASSERT_EQ(simd::MatchTags(fps, tag), want_tags)
-          << "level=" << simd::LevelName(level);
-      ASSERT_EQ(simd::MatchEmpty(rows, ~0u), want_empty)
-          << "level=" << simd::LevelName(level);
-    }
-  }
-}
-
-TEST_F(SimdKernelsTest, HashContainsBatchMatchesContains) {
-  Rng rng(5);
-  Relation rel("R", 3);
-  for (int i = 0; i < 2000; ++i)
-    rel.Insert({rng.Uniform(64), rng.Uniform(64), rng.Uniform(64)});
-  rel.Seal();
-  const HashIndex& idx = rel.GetHashIndex();
-
-  std::vector<Value> probes;  // ~half planted hits, ~half in-domain misses
-  const size_t kProbes = 1000;
-  for (size_t i = 0; i < kProbes; ++i) {
-    if (rng.Bernoulli(0.5)) {
-      const size_t row = rng.Uniform(rel.size());
-      for (int c = 0; c < 3; ++c) probes.push_back(rel.At(row, c));
-    } else {
-      for (int c = 0; c < 3; ++c) probes.push_back(rng.Uniform(64) + 64);
-    }
-  }
-  std::vector<uint8_t> want(kProbes);
-  for (size_t i = 0; i < kProbes; ++i)
-    want[i] = idx.Contains(TupleSpan(probes.data() + i * 3, 3)) ? 1 : 0;
-  ASSERT_NE(std::count(want.begin(), want.end(), 1), 0);
-  ASSERT_NE(std::count(want.begin(), want.end(), 0), 0);
-
-  for (simd::Level level : simd::SupportedLevels()) {
-    ASSERT_EQ(simd::SetLevel(level), level);
-    // n values straddling the 8-probe prefetch block and its tails.
-    for (size_t n : {(size_t)0, (size_t)1, (size_t)7, (size_t)8, (size_t)9,
-                     (size_t)64, kProbes}) {
-      std::vector<uint8_t> got(n, 0xEE);
-      idx.ContainsBatch(probes.data(), n, got.data());
-      ASSERT_TRUE(std::equal(got.begin(), got.end(), want.begin()))
-          << "level=" << simd::LevelName(level) << " n=" << n;
-    }
-  }
-}
-
 TEST_F(SimdKernelsTest, TombstoneFilterMatchesOracleUnderChurn) {
   Database db;
   MakeRandomGraph(db, "R", 12, 60, true, 5);
@@ -289,7 +227,8 @@ TEST_F(SimdKernelsTest, TombstoneFilterMatchesOracleUnderChurn) {
     edges.insert({r0->At(i, 0), r0->At(i, 1)});
 
   Rng rng(31);
-  for (int round = 0; round < 4; ++round) {
+  std::vector<Tuple> deleted;  // snapshot edges deleted so far
+  for (int round = 0; round < 5; ++round) {
     // Delete a slice of surviving edges (drives the tombstone filter) and
     // insert a few new ones (exercises delta + snapshot mixing).
     std::vector<Tuple> alive(edges.begin(), edges.end());
@@ -297,6 +236,7 @@ TEST_F(SimdKernelsTest, TombstoneFilterMatchesOracleUnderChurn) {
       const Tuple& t = alive[rng.Uniform(alive.size())];
       if (!edges.count(t)) continue;
       ASSERT_TRUE(rep.value()->Delete("R", t).ok());
+      if (r0->Contains(t)) deleted.push_back(t);
       edges.erase(t);
     }
     for (int i = 0; i < 4; ++i) {
@@ -305,6 +245,22 @@ TEST_F(SimdKernelsTest, TombstoneFilterMatchesOracleUnderChurn) {
       ASSERT_TRUE(rep.value()->Insert("R", {a, b}).ok());
       edges.insert({a, b});
     }
+    if (round == 2) {
+      // Un-delete: re-inserting a deleted snapshot edge cancels its
+      // tombstone, so the snapshot answers through it must reappear.
+      ASSERT_FALSE(deleted.empty());
+      const size_t deletes_before = rep.value()->pending_deletes();
+      bool undeleted = false;
+      for (const Tuple& t : deleted) {
+        if (edges.count(t)) continue;
+        ASSERT_TRUE(rep.value()->Insert("R", t).ok());
+        edges.insert(t);
+        undeleted = true;
+        break;
+      }
+      ASSERT_TRUE(undeleted);
+      EXPECT_EQ(rep.value()->pending_deletes(), deletes_before - 1);
+    }
 
     Database current;
     Relation* rel = current.AddRelation("R", 2);
@@ -312,9 +268,9 @@ TEST_F(SimdKernelsTest, TombstoneFilterMatchesOracleUnderChurn) {
     rel->Seal();
     const std::vector<Tuple> want = OracleAnswer(view, current, {});
 
-    // The block filter (ContainsBatch over staged candidates) must agree
-    // with the oracle at every dispatch level — and with itself across
-    // levels, single-tuple and batched drains alike.
+    // The tombstone filter must agree with the oracle at every dispatch
+    // level — and with itself across levels — on the single-tuple Next()
+    // drain and the NextBatch() drain alike.
     std::vector<Tuple> scalar_single;
     for (simd::Level level : simd::SupportedLevels()) {
       ASSERT_EQ(simd::SetLevel(level), level);
@@ -327,6 +283,8 @@ TEST_F(SimdKernelsTest, TombstoneFilterMatchesOracleUnderChurn) {
         batched_tuples.emplace_back(t.begin(), t.end());
       }
       EXPECT_EQ(SortedCopy(single), want)
+          << "level=" << simd::LevelName(level) << " round=" << round;
+      EXPECT_EQ(SortedCopy(batched_tuples), want)
           << "level=" << simd::LevelName(level) << " round=" << round;
       EXPECT_EQ(batched_tuples, single)
           << "level=" << simd::LevelName(level) << " round=" << round;

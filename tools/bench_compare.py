@@ -11,9 +11,9 @@ than the threshold:
     `_mops` (millions of point-answer ops per second: Count /
     AnswerExists / AnswerAggregate calls) is
     throughput-gated, which covers the drain headlines
-    (drain_single_mtps, drain_batched_mtps), the per-kernel SIMD rows
-    (scalar_mtps / dispatch_mtps / *_mprobes), and the batched hash-probe
-    rate (hash_batch_mprobes) without further registration. When a record
+    (drain_single_mtps, drain_batched_mtps) and the per-kernel SIMD rows
+    (scalar_mtps / dispatch_mtps / *_mprobes) without further
+    registration. When a record
     carries a `dispatch_level` and it differs between baseline and current
     run (e.g. the baseline was measured with AVX2 but the run is pinned by
     CQC_FORCE_SCALAR or on lesser hardware), the `dispatch_*` metrics are
@@ -84,14 +84,7 @@ def load(path):
 
 
 def record_key(rec):
-    # Parameter-sweep benches (e.g. BENCH_probe) have no `structure` field;
-    # their identity is the sweep point, so fold the sweep parameters into
-    # the key rather than collapsing every row onto one record.
-    structure = rec.get("structure")
-    if structure is None:
-        structure = ",".join(f"{k}={rec[k]}"
-                             for k in ("rows", "hit_rate") if k in rec) or "?"
-    return (rec.get("experiment", "?"), structure)
+    return (rec.get("experiment", "?"), rec.get("structure", "?"))
 
 
 def compare_bench(name, baseline, current, threshold):

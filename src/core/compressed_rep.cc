@@ -486,9 +486,9 @@ bool CompressedRep::AnswerExists(const BoundValuation& vb) const {
 
 namespace {
 
-// Split-point membership for the recursive aggregate walks: one point
-// probe per atom. The walks have no request cursor to reuse (light subtrees
-// drain through their own enumerators), so they probe each relation.
+// Split-point membership by one point probe per atom. The annotation build
+// walk decides every split point this way; the query walk reads the stored
+// annotations instead and probes only where none is stored.
 bool SplitPointMatches(const std::vector<BoundAtom>& atoms,
                        const BoundValuation& vb, TupleSpan beta) {
   for (const BoundAtom& atom : atoms)
@@ -703,6 +703,42 @@ struct AggQueryWalker {
     acc->AddCell(interval.lo.data(), count, sum, min, max);
   }
 
+  // The COUNT the build walk stored for `node`'s subtree under this
+  // request; false when none is stored (a light pair in dictionary mode).
+  // A missing child and a node the build walk never reached count 0: the
+  // columns are identity-initialized and each node is stored at most once
+  // per request.
+  bool StoredCount(int node, uint64_t* count) const {
+    if (node < 0) {
+      *count = 0;
+      return true;
+    }
+    if (tree_mode) {
+      *count = tree->agg_count(node);
+      return true;
+    }
+    const size_t e = dict->LookupEntryIndex(node, vb_id);
+    if (e == HeavyDictionary::kNoEntry) return false;
+    *count = dict->entry_agg_count(e);
+    return true;
+  }
+
+  // Whether the split point of heavy node `node` is an answer. The build
+  // walk stored the node's cell as left + split point + right, so the
+  // stored counts decide it without touching a relation; only a light
+  // child in dictionary mode (no stored cell) falls back to the probes.
+  bool SplitPointIsAnswer(int node, const FInterval& interval,
+                          TupleSpan beta) const {
+    uint64_t self, left, right;
+    if (StoredCount(node, &self) && StoredCount(tree->left(node), &left) &&
+        StoredCount(tree->right(node), &right)) {
+      const uint64_t split = self - left - right;
+      CQC_DCHECK(split <= 1);
+      return split == 1;
+    }
+    return interval.Contains(beta) && SplitPointMatches(*atoms, *vb, beta);
+  }
+
   void Walk(int node, const FInterval& interval) const {
     const HeavyDictionary::Bit bit = dict->Lookup(node, vb_id);
     if (bit == HeavyDictionary::Bit::kZero) return;
@@ -741,8 +777,7 @@ struct AggQueryWalker {
     if (tree->left(node) >= 0 &&
         DelayBalancedTree::LeftInterval(interval, beta, *domain, &child))
       Walk(tree->left(node), child);
-    if (interval.Contains(beta) && SplitPointMatches(*atoms, *vb, beta))
-      acc->AddTuple(beta);
+    if (SplitPointIsAnswer(node, interval, beta)) acc->AddTuple(beta);
     if (tree->right(node) >= 0 &&
         DelayBalancedTree::RightInterval(interval, beta, *domain, &child))
       Walk(tree->right(node), child);

@@ -1,11 +1,14 @@
 #include "core/serialization.h"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -94,6 +97,29 @@ bool SyncPath(const std::string& path, int flags) {
   const bool ok = ::fsync(fd) == 0;
   ::close(fd);
   return ok;
+}
+
+// Removes the temp files `<path>.tmp.<pid>.<n>` of saves whose process no
+// longer exists, i.e. saves cut between opening the temp file and renaming
+// it. A temp file of a live process is left alone: it may be a concurrent
+// save still writing. Best effort; errors are ignored. The pid test assumes
+// the savers of one directory share a host.
+void RemoveStaleTemps(const std::filesystem::path& dir,
+                      const std::string& file_name) {
+  namespace fs = std::filesystem;
+  const std::string prefix = file_name + ".tmp.";
+  std::error_code ec;
+  for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+       it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    char* pid_end = nullptr;
+    const long pid = std::strtol(name.c_str() + prefix.size(), &pid_end, 10);
+    if (pid <= 0 || *pid_end != '.') continue;
+    if (::kill((pid_t)pid, 0) == 0 || errno != ESRCH) continue;
+    std::error_code rm_ec;
+    fs::remove(it->path(), rm_ec);
+  }
 }
 
 // Bounds-checked sequential reader over the file bytes (the header parse).
@@ -451,7 +477,12 @@ Status SaveCompressedRep(const CompressedRep& rep, const std::string& path) {
   // counter), so concurrent savers of one path never share a temp file and
   // the last rename wins with a whole file. The file is fsynced before the
   // rename and its directory after it, so a crash leaves the old file or
-  // the new one at `path`.
+  // the new one at `path`. A save cut before its rename leaves its temp
+  // file behind; the next save of the path removes it.
+  const std::filesystem::path fs_path(path);
+  std::filesystem::path dir = fs_path.parent_path();
+  if (dir.empty()) dir = ".";
+  RemoveStaleTemps(dir, fs_path.filename().string());
   static std::atomic<uint64_t> save_seq{0};
   const std::string tmp = path + ".tmp." + std::to_string(::getpid()) + "." +
                           std::to_string(save_seq.fetch_add(1));
@@ -493,10 +524,9 @@ Status SaveCompressedRep(const CompressedRep& rep, const std::string& path) {
     std::remove(tmp.c_str());
     return Status::Error("cannot move " + tmp + " into place");
   }
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
-  if (!SyncPath(dir, O_RDONLY | O_DIRECTORY))
-    return Status::Error("cannot sync directory " + dir);
+  if (!SyncPath(dir.string(), O_RDONLY | O_DIRECTORY))
+    return Status::Error("installed " + path + " but cannot sync directory " +
+                         dir.string() + ": the file may not survive a crash");
   return Status::Ok();
 }
 

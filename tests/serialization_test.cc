@@ -1,4 +1,6 @@
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <cstring>
@@ -391,6 +393,40 @@ TEST(SerializationTest, ConcurrentSavesToOnePathInstallOneWholeFile) {
                 std::string::npos)
           << "leftover temp file " << entry.path();
   }
+}
+
+// A save cut between opening its temp file and renaming it leaves the temp
+// file behind. The next save of the path removes it when its process is
+// gone, and leaves a live process's temp file (a concurrent save) alone.
+TEST(SerializationTest, SaveRemovesTempFilesOfExitedSavers) {
+  Database db;
+  MakeRandomGraph(db, "R", 12, 60, true, 9);
+  AdornedView view = TriangleView("bfb");
+  auto rep = CompressedRep::Build(view, db, CompressedRepOptions{});
+  ASSERT_TRUE(rep.ok());
+  const std::filesystem::path dir = TempPath("stale_temps");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "rep.cqcrep").string();
+
+  // A pid that has exited and been reaped.
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) ::_exit(0);
+  ASSERT_EQ(::waitpid(child, nullptr, 0), child);
+
+  const std::string stale = path + ".tmp." + std::to_string(child) + ".0";
+  const std::string live = path + ".tmp." + std::to_string(::getppid()) + ".0";
+  const std::string other = (dir / "other.cqcrep.tmp.1.0").string();
+  for (const std::string& f : {stale, live, other})
+    std::ofstream(f) << "partial";
+
+  ASSERT_TRUE(SaveCompressedRep(*rep.value(), path).ok());
+  EXPECT_FALSE(std::filesystem::exists(stale));
+  EXPECT_TRUE(std::filesystem::exists(live));
+  EXPECT_TRUE(std::filesystem::exists(other));
+  EXPECT_TRUE(LoadCompressedRep(view, db, path).ok());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

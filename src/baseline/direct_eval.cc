@@ -13,8 +13,8 @@ namespace {
 /// Adapts a JoinIterator to the TupleEnumerator interface.
 class JoinEnumerator : public TupleEnumerator {
  public:
-  explicit JoinEnumerator(JoinIterator join) : join_(std::move(join)) {}
-  bool Next(Tuple* out) override { return join_.Next(out); }
+  JoinEnumerator(JoinIterator join, int arity)
+      : TupleEnumerator(arity), join_(std::move(join)) {}
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
     return join_.NextBatch(out, max_tuples);
   }
@@ -71,15 +71,15 @@ std::unique_ptr<TupleEnumerator> DirectEval::Answer(
   CQC_CHECK_EQ((int)vb.size(), view_.num_bound());
   const int mu = view_.num_free();
   auto inputs = BuildJoinInputs(atoms_, vb);
-  if (!inputs.has_value()) return std::make_unique<EmptyEnumerator>();
+  if (!inputs.has_value()) return std::make_unique<EmptyEnumerator>(mu);
   if (mu == 0) {
     // Boolean request: all atoms non-empty under vb.
     std::vector<Tuple> one{Tuple{}};
-    return std::make_unique<VectorEnumerator>(std::move(one));
+    return std::make_unique<VectorEnumerator>(0, std::move(one));
   }
   JoinIterator join(std::move(*inputs), mu,
                     std::vector<LevelConstraint>(mu, LevelConstraint::Any()));
-  return std::make_unique<JoinEnumerator>(std::move(join));
+  return std::make_unique<JoinEnumerator>(std::move(join), mu);
 }
 
 std::unique_ptr<TupleEnumerator> DirectEval::AnswerRange(
@@ -88,17 +88,16 @@ std::unique_ptr<TupleEnumerator> DirectEval::AnswerRange(
   CQC_CHECK_GT(mu, 0) << "AnswerRange needs a free dimension";
   CQC_CHECK_EQ((int)range.lo.size(), mu);
   CQC_CHECK_EQ((int)range.hi.size(), mu);
-  if (range.Empty()) return std::make_unique<EmptyEnumerator>();
+  if (range.Empty()) return std::make_unique<EmptyEnumerator>(mu);
   auto inputs = BuildJoinInputs(atoms_, vb);
-  if (!inputs.has_value()) return std::make_unique<EmptyEnumerator>();
+  if (!inputs.has_value()) return std::make_unique<EmptyEnumerator>(mu);
   return std::make_unique<BoxJoinEnumerator>(std::move(*inputs), mu,
                                              BoxDecompose(range));
 }
 
 bool DirectEval::AnswerExists(const BoundValuation& vb) const {
-  auto e = Answer(vb);
   Tuple t;
-  return e->Next(&t);
+  return Answer(vb)->Next(&t);
 }
 
 size_t DirectEval::SpaceBytes() const {

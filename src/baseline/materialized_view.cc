@@ -72,14 +72,13 @@ std::unique_ptr<TupleEnumerator> MaterializedView::Answer(
   RowRange r = index_->Root();
   for (int i = 0; i < nb && !r.empty(); ++i)
     r = index_->Refine(r, i, vb[i]);
-  if (r.empty()) return std::make_unique<EmptyEnumerator>();
+  if (r.empty()) return std::make_unique<EmptyEnumerator>(k - nb);
   return std::make_unique<RangeScanEnumerator>(index_, r, nb, k);
 }
 
 bool MaterializedView::AnswerExists(const BoundValuation& vb) const {
-  auto e = Answer(vb);
   Tuple t;
-  return e->Next(&t);
+  return Answer(vb)->Next(&t);
 }
 
 size_t MaterializedView::CountAnswer(const BoundValuation& vb) const {

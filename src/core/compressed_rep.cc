@@ -166,12 +166,9 @@ Result<std::unique_ptr<CompressedRep>> CompressedRep::Build(
 // Algorithm 2: in-order traversal of the delay-balanced tree.
 // ---------------------------------------------------------------------------
 
-// The traversal is written once, as the batch producer ProduceBatch(); the
-// one-at-a-time Next() serves from small staged blocks pulled through a
-// scratch buffer, and NextBatch() drains any staged tuples before
-// producing, so both entry points share one state machine, cannot diverge,
-// and can be interleaved freely. Staging keeps the delay bound: a block is
-// a fixed constant, so one refill costs O(kNextStage) constant-delay steps.
+// The traversal is written once, as the batch producer NextBatch(), and it
+// stops after `max_tuples`: a single-tuple pull (Next() is
+// NextBatch(…, 1)) does the work of one output and no more.
 //
 // An optional lex range [range_lo_, range_hi_] restricts the traversal: every
 // interval is clipped against the range when its frame is pushed (the child
@@ -186,7 +183,9 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
  public:
   Alg2Enumerator(const CompressedRep* rep, BoundValuation vb,
                  const FInterval* range = nullptr)
-      : rep_(rep), vb_(std::move(vb)), scratch_(rep->view().num_free()) {
+      : TupleEnumerator(rep->view().num_free()),
+        rep_(rep),
+        vb_(std::move(vb)) {
     CQC_CHECK_EQ((int)vb_.size(), rep_->view_.num_bound());
     // Pre-bind every atom; an empty range kills the whole request.
     for (const BoundAtom& atom : rep_->atoms_) {
@@ -235,33 +234,7 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
     done_ = top_ == 0;
   }
 
-  bool Next(Tuple* out) override {
-    if (scratch_pos_ >= scratch_.size()) {
-      scratch_.Clear();
-      scratch_pos_ = 0;
-      if (ProduceBatch(&scratch_, kNextStage) == 0) return false;
-    }
-    const TupleSpan t = scratch_[scratch_pos_++];
-    out->resize(t.size());
-    std::memcpy(out->data(), t.begin(), t.size() * sizeof(Value));
-    return true;
-  }
-
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
-    size_t emitted = 0;
-    while (scratch_pos_ < scratch_.size() && emitted < max_tuples) {
-      out->Append(scratch_[scratch_pos_++]);
-      ++emitted;
-    }
-    return emitted + ProduceBatch(out, max_tuples - emitted);
-  }
-
- private:
-  // Per-Next staging block: amortizes the traversal state machine and the
-  // virtual batch dispatch over a constant number of outputs.
-  static constexpr size_t kNextStage = 16;
-
-  size_t ProduceBatch(TupleBuffer* out, size_t max_tuples) {
     size_t emitted = 0;
     while (!done_ && emitted < max_tuples) {
       if (join_active_) {
@@ -341,6 +314,7 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
     return emitted;
   }
 
+ private:
   enum class Phase { kEnter, kAfterLeft, kAfterBeta };
   struct Frame {
     int node = -1;
@@ -392,8 +366,6 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
   // The request's one forward cursor: every light box and split point.
   std::optional<JoinIterator> join_;
   bool join_active_ = false;
-  TupleBuffer scratch_;    // staged block for the Next() entry point
-  size_t scratch_pos_ = 0;  // next staged tuple to serve
   bool done_ = false;
 };
 
@@ -405,13 +377,13 @@ std::unique_ptr<TupleEnumerator> CompressedRep::Answer(
     // through the fixed valuation (Prop. 1 semantics).
     for (const BoundAtom& atom : atoms_) {
       if (atom.CountBound(vb) == 0)
-        return std::make_unique<EmptyEnumerator>();
+        return std::make_unique<EmptyEnumerator>(view_.num_free());
     }
     std::vector<Tuple> one{Tuple{}};
-    return std::make_unique<VectorEnumerator>(std::move(one));
+    return std::make_unique<VectorEnumerator>(0, std::move(one));
   }
   if (domain_.AnyEmpty() || tree_.empty())
-    return std::make_unique<EmptyEnumerator>();
+    return std::make_unique<EmptyEnumerator>(view_.num_free());
   return std::make_unique<Alg2Enumerator>(this, vb);
 }
 
@@ -420,7 +392,7 @@ std::unique_ptr<TupleEnumerator> CompressedRep::AnswerRange(
   CQC_CHECK_EQ((int)vb.size(), view_.num_bound());
   CQC_CHECK_GT(view_.num_free(), 0) << "AnswerRange needs a free dimension";
   if (domain_.AnyEmpty() || tree_.empty() || range.Empty())
-    return std::make_unique<EmptyEnumerator>();
+    return std::make_unique<EmptyEnumerator>(view_.num_free());
   return std::make_unique<Alg2Enumerator>(this, vb, &range);
 }
 
@@ -435,17 +407,17 @@ Result<std::unique_ptr<TupleEnumerator>> CompressedRep::Resume(
     return Status::Error("resume: bound valuation arity mismatch");
   if (cursor.exhausted)
     return std::unique_ptr<TupleEnumerator>(
-        std::make_unique<EmptyEnumerator>());
+        std::make_unique<EmptyEnumerator>(view_.num_free()));
   if (view_.num_free() == 0) {
     // Boolean view: the stream holds at most one (empty) tuple.
     if (cursor.emitted > 0)
       return std::unique_ptr<TupleEnumerator>(
-          std::make_unique<EmptyEnumerator>());
+          std::make_unique<EmptyEnumerator>(view_.num_free()));
     return Answer(vb);
   }
   if (domain_.AnyEmpty() || tree_.empty())
     return std::unique_ptr<TupleEnumerator>(
-        std::make_unique<EmptyEnumerator>());
+        std::make_unique<EmptyEnumerator>(view_.num_free()));
   FInterval range{domain_.MinTuple(), domain_.MaxTuple()};
   if (!cursor.range_hi.empty()) {
     if ((int)cursor.range_hi.size() != domain_.mu())
@@ -469,15 +441,14 @@ Result<std::unique_ptr<TupleEnumerator>> CompressedRep::Resume(
     range.lo = cursor.last;
     if (!domain_.Succ(range.lo))  // paused on the grid maximum
       return std::unique_ptr<TupleEnumerator>(
-          std::make_unique<EmptyEnumerator>());
+          std::make_unique<EmptyEnumerator>(view_.num_free()));
   }
   return AnswerRange(vb, range);
 }
 
 bool CompressedRep::AnswerExists(const BoundValuation& vb) const {
-  auto e = Answer(vb);
   Tuple t;
-  return e->Next(&t);
+  return Answer(vb)->Next(&t);
 }
 
 // ---------------------------------------------------------------------------

@@ -71,20 +71,9 @@ class CursorEnumerator : public TupleEnumerator {
   /// wrapping an AnswerRange stream).
   explicit CursorEnumerator(std::unique_ptr<TupleEnumerator> inner,
                             Tuple range_lo = {}, Tuple range_hi = {})
-      : inner_(std::move(inner)) {
+      : TupleEnumerator(inner->arity()), inner_(std::move(inner)) {
     cursor_.range_lo = std::move(range_lo);
     cursor_.range_hi = std::move(range_hi);
-  }
-
-  bool Next(Tuple* out) override {
-    if (!inner_->Next(out)) {
-      cursor_.exhausted = true;
-      return false;
-    }
-    ++cursor_.emitted;
-    cursor_.has_last = true;
-    cursor_.last = *out;
-    return true;
   }
 
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {

@@ -4,6 +4,11 @@
 // baselines) yields results through this interface so the harness can
 // measure delay — the maximum time (or operation count) between two
 // consecutive outputs — exactly as §2.3 defines it.
+//
+// A stream has one producer: NextBatch() is the only stream virtual, and
+// the single-tuple Next() is NextBatch(…, 1) plus a copy. So the delay of
+// a Next() call is exactly the work of producing one tuple, and the two
+// pulls can never diverge.
 #ifndef CQC_CORE_ENUMERATOR_H_
 #define CQC_CORE_ENUMERATOR_H_
 
@@ -23,25 +28,29 @@ namespace cqc {
 
 class TupleEnumerator {
  public:
+  /// `arity` is the width of every tuple the stream yields.
+  explicit TupleEnumerator(int arity) : one_(arity) {}
   virtual ~TupleEnumerator() = default;
-  /// Writes the next tuple into `out`; returns false when exhausted.
-  virtual bool Next(Tuple* out) = 0;
+
+  int arity() const { return one_.arity(); }
 
   /// Batch pull: appends up to `max_tuples` tuples to `out` (which must have
   /// the stream's arity; it is NOT cleared) and returns how many were
-  /// appended. A return < max_tuples means the stream is exhausted. The
-  /// stream is shared with Next(): mixing the two never duplicates or drops
-  /// tuples. The base implementation loops Next(); hot enumerators override
-  /// it to fill the caller-owned buffer without per-tuple virtual dispatch
-  /// or allocation.
-  virtual size_t NextBatch(TupleBuffer* out, size_t max_tuples) {
-    Tuple t;
-    size_t n = 0;
-    while (n < max_tuples && Next(&t)) {
-      out->Append(t);
-      ++n;
-    }
-    return n;
+  /// appended. A return < max_tuples means the stream is exhausted.
+  virtual size_t NextBatch(TupleBuffer* out, size_t max_tuples) = 0;
+
+  /// Writes the next tuple into `out`; returns false when exhausted. Shares
+  /// the stream with NextBatch(): mixing the two never duplicates or drops
+  /// tuples.
+  bool Next(Tuple* out) {
+    one_.Clear();
+    if (NextBatch(&one_, 1) == 0) return false;
+    // An element loop, not assign(): a few values copy inline, where
+    // assign() calls memmove once per tuple.
+    const Value* t = one_.data();
+    out->resize(arity());
+    for (int i = 0; i < arity(); ++i) (*out)[i] = t[i];
+    return true;
   }
 
   /// Streaming error channel. Next/NextBatch report exhaustion by bool /
@@ -50,27 +59,25 @@ class TupleEnumerator {
   /// care poll this after the stream ends. OK means the stream is live or
   /// genuinely exhausted.
   virtual Status StreamStatus() const { return Status::Ok(); }
+
+ private:
+  TupleBuffer one_;  // Next()'s one-tuple batch
 };
 
 /// An enumerator over an empty result.
 class EmptyEnumerator : public TupleEnumerator {
  public:
-  bool Next(Tuple* out) override { return false; }
+  explicit EmptyEnumerator(int arity) : TupleEnumerator(arity) {}
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
     return 0;
   }
 };
 
-/// An enumerator over a fixed list of tuples.
+/// An enumerator over a fixed list of tuples, each of width `arity`.
 class VectorEnumerator : public TupleEnumerator {
  public:
-  explicit VectorEnumerator(std::vector<Tuple> tuples)
-      : tuples_(std::move(tuples)) {}
-  bool Next(Tuple* out) override {
-    if (pos_ >= tuples_.size()) return false;
-    *out = tuples_[pos_++];
-    return true;
-  }
+  VectorEnumerator(int arity, std::vector<Tuple> tuples)
+      : TupleEnumerator(arity), tuples_(std::move(tuples)) {}
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
     size_t n = 0;
     while (n < max_tuples && pos_ < tuples_.size()) {
@@ -87,33 +94,22 @@ class VectorEnumerator : public TupleEnumerator {
 
 /// Wraps a tuple stream with amortized-O(1) RequestContext polling.
 ///
-/// TupleEnumerator::Next has no error channel (bool only), so deadline
-/// expiry and cancellation surface out-of-band: the stream ends early
-/// (Next returns false / NextBatch returns a short batch) and `status()`
-/// reports why. Callers that thread a context check `status()` after the
-/// stream ends; callers that don't see a normal exhausted stream.
+/// NextBatch has no error channel (a count only), so deadline expiry and
+/// cancellation surface out-of-band: the stream ends early (a short batch)
+/// and `status()` reports why. Callers that thread a context check
+/// `status()` after the stream ends; callers that don't see a normal
+/// exhausted stream.
 ///
-/// Poll cadence: once per NextBatch call and once per kCheckStride
-/// single-tuple Next calls — one steady_clock read amortized over a batch
-/// of work, which is what keeps the overhead inside the bench gate while
-/// still honoring "stops within one batch of work".
+/// Poll cadence: once per NextBatch call (so once per Next), whatever the
+/// batch size — one steady_clock read amortized over a batch of work, which
+/// keeps the overhead inside the bench gate for batched drains while still
+/// honoring "stops within one batch of work".
 class DeadlineCheckedEnumerator : public TupleEnumerator {
  public:
-  static constexpr size_t kCheckStride = 64;
-
   /// `ctx` may be null (wrapper becomes pass-through). Does not own it.
   DeadlineCheckedEnumerator(std::unique_ptr<TupleEnumerator> inner,
                             const RequestContext* ctx)
-      : inner_(std::move(inner)), ctx_(ctx) {}
-
-  bool Next(Tuple* out) override {
-    if (stopped_) return false;
-    if (ctx_ != nullptr && ++since_check_ >= kCheckStride) {
-      since_check_ = 0;
-      if (!Poll()) return false;
-    }
-    return inner_->Next(out);
-  }
+      : TupleEnumerator(inner->arity()), inner_(std::move(inner)), ctx_(ctx) {}
 
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
     if (stopped_) return 0;
@@ -143,7 +139,6 @@ class DeadlineCheckedEnumerator : public TupleEnumerator {
   std::unique_ptr<TupleEnumerator> inner_;
   const RequestContext* ctx_;
   Status status_;
-  size_t since_check_ = 0;
   bool stopped_ = false;
 };
 
@@ -190,20 +185,31 @@ class ProjectingEnumerator : public TupleEnumerator {
  public:
   ProjectingEnumerator(std::unique_ptr<TupleEnumerator> inner,
                        std::vector<int> positions)
-      : inner_(std::move(inner)),
+      : TupleEnumerator((int)positions.size()),
+        inner_(std::move(inner)),
         positions_(std::move(positions)),
-        scratch_(positions_.size()) {}
+        scratch_(positions_.size()),
+        block_(inner_->arity()) {}
 
-  bool Next(Tuple* out) override {
-    Tuple t;
-    while (inner_->Next(&t)) {
-      for (size_t i = 0; i < positions_.size(); ++i)
-        scratch_[i] = t[positions_[i]];
-      if (!InsertDistinct(scratch_)) continue;
-      *out = scratch_;
-      return true;
+  size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
+    size_t emitted = 0;
+    while (emitted < max_tuples) {
+      // Each inner tuple yields at most one output, so pulling only what
+      // is still wanted never runs the inner stream ahead of this one.
+      const size_t want = max_tuples - emitted;
+      block_.Clear();
+      const size_t got = inner_->NextBatch(&block_, want);
+      for (size_t r = 0; r < got; ++r) {
+        const TupleSpan t = block_[r];
+        for (size_t i = 0; i < positions_.size(); ++i)
+          scratch_[i] = t[positions_[i]];
+        if (!InsertDistinct(scratch_)) continue;
+        out->Append(scratch_);
+        ++emitted;
+      }
+      if (got < want) break;
     }
-    return false;
+    return emitted;
   }
 
  private:
@@ -217,6 +223,7 @@ class ProjectingEnumerator : public TupleEnumerator {
   std::unique_ptr<TupleEnumerator> inner_;
   std::vector<int> positions_;
   Tuple scratch_;
+  TupleBuffer block_;  // the inner tuples of one pull
   // Distinct projections, each stored once in the arena; the set holds
   // views, so dedup costs one hash probe and no per-tuple allocation.
   TupleArena arena_;

@@ -21,9 +21,10 @@ class KeepAliveEnumerator : public TupleEnumerator {
  public:
   KeepAliveEnumerator(std::shared_ptr<const void> keep,
                       std::unique_ptr<TupleEnumerator> inner)
-      : keep_(std::move(keep)), inner_(std::move(inner)) {}
+      : TupleEnumerator(inner->arity()),
+        keep_(std::move(keep)),
+        inner_(std::move(inner)) {}
 
-  bool Next(Tuple* out) override { return inner_->Next(out); }
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
     return inner_->NextBatch(out, max_tuples);
   }
@@ -341,6 +342,10 @@ UpdatableRep::Info UpdatableRep::GetInfo() const {
   return info;
 }
 
+bool UpdatableRep::has_aggregates() const {
+  return Load()->snapshot->rep->has_aggregates();
+}
+
 const CompressedRep& UpdatableRep::rep() const {
   return *Load()->snapshot->rep;
 }
@@ -357,7 +362,8 @@ class UpdatableRep::CombinedEnumerator : public TupleEnumerator {
  public:
   CombinedEnumerator(std::shared_ptr<const State> state,
                      const AdornedView& view, BoundValuation vb)
-      : state_(std::move(state)),
+      : TupleEnumerator(view.num_free()),
+        state_(std::move(state)),
         view_(&view),
         vb_(std::move(vb)),
         stage_(view.num_free()) {
@@ -375,56 +381,18 @@ class UpdatableRep::CombinedEnumerator : public TupleEnumerator {
     }
   }
 
-  bool Next(Tuple* out) override {
-    // Serve staged survivors first (an interleaved NextBatch call may have
-    // left some), then refill one answer at a time. The single-answer
-    // refill pulls through the producer's batch entry point with
-    // max_tuples = 1 — which produces exactly one tuple and, unlike its
-    // Next(), never runs ahead into a staged block — so a Next() call here
-    // does one production step plus one point probe per atom: a strict
-    // (not amortized) constant delay, which the per-request worst-gap
-    // percentiles in BENCH_updates.json gate directly.
-    while (base_enum_ != nullptr || stage_pos_ < stage_.size()) {
-      if (stage_pos_ < stage_.size()) {
-        const size_t i = stage_pos_++;
-        if (!keep_.empty() && !keep_[i]) continue;
-        const TupleSpan t = stage_[i];
-        out->assign(t.data(), t.data() + t.size());
-        return true;
-      }
-      if (!RefillStage(1)) base_enum_.reset();
-    }
-    const int n = (int)old_.size();
-    const int mu = view_->num_free();
-    for (;;) {
-      if (!term_join_.has_value()) {
-        if (term_ >= n) return false;
-        if (!StartTerm(term_)) {
-          ++term_;
-          continue;
-        }
-      }
-      Tuple t;
-      while (term_join_->Next(&t)) {
-        if (mu == 0) t.clear();
-        if (DerivableFromSnapshot(t)) continue;
-        if (!emitted_.insert(t).second) continue;
-        *out = t;
-        return true;
-      }
-      term_join_.reset();
-      ++term_;
-    }
-  }
-
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
     size_t emitted = 0;
-    // Snapshot answers: drain the filtered stage block-by-block, appending
-    // survivors straight from the stage buffer (no per-tuple Tuple).
+    // Snapshot answers: drain the filtered stage block by block, appending
+    // survivors straight from the stage buffer (no per-tuple Tuple). A
+    // refill never pulls more than is still wanted, so NextBatch(…, 1)
+    // (and with it Next()) does one production step plus one tombstone
+    // probe per atom: a strict, not amortized, constant delay, which the
+    // per-request worst-gap percentiles in BENCH_updates.json gate.
     while (emitted < max_tuples &&
            (base_enum_ != nullptr || stage_pos_ < stage_.size())) {
       if (stage_pos_ >= stage_.size()) {
-        if (!RefillStage(kStageBlock)) {
+        if (!RefillStage(std::min(kStageBlock, max_tuples - emitted))) {
           base_enum_.reset();
           break;
         }
@@ -437,23 +405,30 @@ class UpdatableRep::CombinedEnumerator : public TupleEnumerator {
         ++emitted;
       }
     }
-    // Delta terms keep the per-tuple path (dedup + derivability probes).
-    Tuple t;
-    while (emitted < max_tuples && Next(&t)) {
-      out->Append(t);
+    // Delta terms, one answer at a time (dedup + derivability probes).
+    const int n = (int)old_.size();
+    while (emitted < max_tuples) {
+      if (!term_join_.has_value()) {
+        if (term_ >= n) break;
+        if (!StartTerm(term_)) ++term_;
+        continue;
+      }
+      if (!term_join_->Next(&term_tuple_)) {
+        term_join_.reset();
+        ++term_;
+        continue;
+      }
+      if (DerivableFromSnapshot(term_tuple_)) continue;
+      if (!emitted_.insert(term_tuple_).second) continue;
+      out->Append(term_tuple_);
       ++emitted;
     }
     return emitted;
   }
 
  private:
-  // Snapshot answers are staged in blocks so NextBatch appends survivors
-  // straight from the stage buffer. The block is a NextBatch-only
-  // amortization: the single-tuple path refills one answer, preserving the
-  // strict (not amortized) constant delay bound per Next() — the
-  // per-request worst-gap percentiles in BENCH_updates.json gate exactly
-  // that, and a block refill inside Next() would turn the worst gap into a
-  // block's worth of work.
+  // Largest snapshot refill: amortizes the producer call over a block when
+  // the caller wants many tuples.
   static constexpr size_t kStageBlock = 64;
 
   // Pulls the next `block` snapshot answers into stage_ and computes the
@@ -527,6 +502,7 @@ class UpdatableRep::CombinedEnumerator : public TupleEnumerator {
   std::vector<const Relation*> tombstones_;
   int term_ = 0;
   std::optional<JoinIterator> term_join_;
+  Tuple term_tuple_;  // the current delta-term answer
   std::unordered_set<Tuple, TupleHash> emitted_;
 };
 
@@ -543,9 +519,8 @@ std::unique_ptr<TupleEnumerator> UpdatableRep::Answer(
 }
 
 bool UpdatableRep::AnswerExists(const BoundValuation& vb) const {
-  auto e = Answer(vb);
   Tuple t;
-  return e->Next(&t);
+  return Answer(vb)->Next(&t);
 }
 
 AggregateResult UpdatableRep::AnswerAggregate(

@@ -155,6 +155,9 @@ class UpdatableRep {
     size_t space_bytes = 0;
   };
   Info GetInfo() const;
+  /// Whether the current snapshot carries aggregate annotations; safe
+  /// under a concurrent Rebuild (reads one held epoch).
+  bool has_aggregates() const;
 
   /// Current snapshot structure / base data. Unsynchronized conveniences
   /// for stats, tests, and single-threaded callers: the references are

@@ -82,7 +82,7 @@ std::unique_ptr<TupleEnumerator> MaterializedBagRep::Answer(
   RowRange r = index_->Root();
   for (int i = 0; i < num_bound_ && !r.empty(); ++i)
     r = index_->Refine(r, i, vb[i]);
-  if (r.empty()) return std::make_unique<EmptyEnumerator>();
+  if (r.empty()) return std::make_unique<EmptyEnumerator>(num_free_);
   return std::make_unique<RangeScanEnumerator>(index_, r, num_bound_,
                                                num_bound_ + num_free_);
 }

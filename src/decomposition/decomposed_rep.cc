@@ -219,7 +219,10 @@ class DecomposedRep::Alg5Enumerator : public TupleEnumerator {
   // first bag's stream order is deterministic.
   Alg5Enumerator(const DecomposedRep* rep, BoundValuation vb,
                  size_t offset = 0, size_t stride = 1)
-      : rep_(rep), offset_(offset), stride_(stride) {
+      : TupleEnumerator(rep->view_.num_free()),
+        rep_(rep),
+        offset_(offset),
+        stride_(stride) {
     CQC_CHECK_GT(stride, 0u);
     CQC_CHECK_LT(offset, stride);
     values_.assign(rep->view_.cq().num_vars(), 0);
@@ -252,8 +255,6 @@ class DecomposedRep::Alg5Enumerator : public TupleEnumerator {
     cur_ = 0;
     entering_ = true;
   }
-
-  bool Next(Tuple* out) override { return Produce(out); }
 
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
     size_t n = 0;
@@ -428,7 +429,8 @@ std::unique_ptr<TupleEnumerator> DecomposedRep::Resume(
 std::unique_ptr<TupleEnumerator> DecomposedRep::ResumeShard(
     const BoundValuation& vb, const EnumerationCursor& cursor, size_t offset,
     size_t stride) const {
-  if (cursor.exhausted) return std::make_unique<EmptyEnumerator>();
+  if (cursor.exhausted)
+    return std::make_unique<EmptyEnumerator>(view_.num_free());
   auto e = AnswerShard(vb, offset, stride);
   // Algorithm 5's order follows the decomposition, not the output lex
   // order, so the generic skip-ahead resume applies: the (shard) stream is
@@ -624,9 +626,8 @@ AggregateResult DecomposedRep::AnswerAggregate(
 }
 
 bool DecomposedRep::AnswerExists(const BoundValuation& vb) const {
-  auto e = Answer(vb);
   Tuple t;
-  return e->Next(&t);
+  return Answer(vb)->Next(&t);
 }
 
 }  // namespace cqc

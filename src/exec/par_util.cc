@@ -33,9 +33,10 @@ bool SerialOnly() { return InParallelRegion() || ThreadPool::InWorker(); }
 
 }  // namespace internal
 
-void RunTasks(std::vector<std::function<void()>> tasks) {
+void RunTasks(std::vector<std::function<void()>> tasks, size_t rows) {
   const int threads = BuildThreads();
-  if (tasks.size() <= 1 || threads <= 1 || internal::SerialOnly()) {
+  if (tasks.size() <= 1 || rows < kMinParallelSort || threads <= 1 ||
+      internal::SerialOnly()) {
     for (auto& t : tasks) t();
     return;
   }

@@ -45,15 +45,20 @@ class RegionGuard {
 bool SerialOnly();
 }  // namespace internal
 
+/// Inputs smaller than this many rows are sorted or processed serially:
+/// below it, starting a thread costs more than the work it would share.
+inline constexpr size_t kMinParallelSort = 1u << 15;
+
 /// Runs every task, possibly concurrently. Tasks must be independent.
-void RunTasks(std::vector<std::function<void()>> tasks);
+/// `rows` is the size of the input the tasks split between them; below
+/// kMinParallelSort they run serially on the caller.
+void RunTasks(std::vector<std::function<void()>> tasks, size_t rows);
 
 /// std::sort with chunked fan-out + pairwise merge when the input is large
 /// and the gates allow it. Comparator requirements as for std::sort.
 template <typename It, typename Cmp>
 void ParallelSort(It begin, It end, Cmp cmp) {
   const size_t n = (size_t)(end - begin);
-  constexpr size_t kMinParallelSort = 1u << 15;
   const int threads = BuildThreads();
   if (n < kMinParallelSort || threads <= 1 || internal::SerialOnly()) {
     std::sort(begin, end, cmp);

@@ -28,14 +28,13 @@ size_t ResolveShards(const ParallelOptions& options, int threads) {
 ParallelEnumerator::ParallelEnumerator(ShardFactory factory,
                                        size_t num_shards, int arity,
                                        ParallelOptions options)
-    : factory_(std::move(factory)),
-      arity_(arity),
+    : TupleEnumerator(arity),
+      factory_(std::move(factory)),
       options_(options),
       shards_(num_shards),
       current_(arity),
       pool_(ResolveThreads(options)) {
   CQC_CHECK(factory_ != nullptr);
-  CQC_CHECK_GE(arity, 0);
   CQC_CHECK_GT(options_.batch_size, 0u);
   CQC_CHECK_GT(options_.max_chunks_per_shard, 0u);
   for (size_t s = 0; s < num_shards; ++s)
@@ -90,7 +89,7 @@ Status ParallelEnumerator::DrainShard(size_t shard) {
   const size_t cap = options_.max_chunks_per_shard *
                      (options_.ordered ? 1 : shards_.size());
   for (;;) {
-    TupleBuffer buf(arity_);
+    TupleBuffer buf(arity());
     buf.Reserve(batch);
     const size_t n = e->NextBatch(&buf, batch);
     const bool exhausted = n < batch;
@@ -155,15 +154,6 @@ bool ParallelEnumerator::FetchChunk() {
   return true;
 }
 
-bool ParallelEnumerator::Next(Tuple* out) {
-  while (read_pos_ >= current_.size()) {
-    if (!FetchChunk()) return false;
-  }
-  const TupleSpan t = current_[read_pos_++];
-  out->assign(t.begin(), t.end());
-  return true;
-}
-
 size_t ParallelEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {
   size_t emitted = 0;
   while (emitted < max_tuples) {
@@ -187,7 +177,8 @@ std::unique_ptr<TupleEnumerator> ParallelAnswer(const CompressedRep& rep,
   const int threads = ResolveThreads(options);
   auto plan = std::make_shared<ShardPlan>(
       ShardPlanner::Plan(rep, ResolveShards(options, threads)));
-  if (plan->shards.empty()) return std::make_unique<EmptyEnumerator>();
+  if (plan->shards.empty())
+    return std::make_unique<EmptyEnumerator>(rep.view().num_free());
   auto factory = [&rep, vb, plan](size_t s) {
     return rep.AnswerRange(vb, plan->shards[s]);
   };

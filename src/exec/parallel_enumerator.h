@@ -81,7 +81,6 @@ class ParallelEnumerator : public TupleEnumerator {
   ParallelEnumerator(const ParallelEnumerator&) = delete;
   ParallelEnumerator& operator=(const ParallelEnumerator&) = delete;
 
-  bool Next(Tuple* out) override;
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override;
 
   /// OK, or why the stream was cut short: the first shard-producer fault
@@ -105,7 +104,6 @@ class ParallelEnumerator : public TupleEnumerator {
   bool FetchChunk();
 
   ShardFactory factory_;
-  const int arity_;
   const ParallelOptions options_;
 
   mutable std::mutex mu_;

@@ -37,8 +37,18 @@ JoinIterator::JoinIterator(const std::vector<JoinAtomInput>* atoms,
     max_parts = std::max(max_parts, participants_[l].size());
   }
   seek_pos_.assign(max_parts, 0);
-  merge_.resize(max_parts);
   values_.assign(num_levels_, 0);
+  if (num_levels_ == 0) return;
+  // range_stack_ is never resized after this point (and a move keeps the
+  // inner buffers), so the deepest level's run and parent addresses stay
+  // valid for the iterator's lifetime.
+  for (const Participant& p : participants_[num_levels_ - 1]) {
+    ScanCursor s;
+    s.col = this->atoms()[p.atom].index->LevelData(p.trie_level);
+    s.run = &range_stack_[p.atom][p.depth + 1];
+    s.parent = &range_stack_[p.atom][p.depth];
+    scan_.push_back(s);
+  }
 }
 
 JoinIterator::JoinIterator(std::vector<JoinAtomInput> atoms, int num_levels,
@@ -61,7 +71,8 @@ JoinIterator::JoinIterator(JoinIterator&& other) noexcept
       values_(std::move(other.values_)),
       valid_levels_(other.valid_levels_),
       seek_pos_(std::move(other.seek_pos_)),
-      merge_(std::move(other.merge_)),
+      scan_(std::move(other.scan_)),
+      scan_live_(other.scan_live_),
       started_(other.started_),
       done_(other.done_),
       empty_atom_(other.empty_atom_) {}
@@ -78,7 +89,8 @@ JoinIterator& JoinIterator::operator=(JoinIterator&& other) noexcept {
   values_ = std::move(other.values_);
   valid_levels_ = other.valid_levels_;
   seek_pos_ = std::move(other.seek_pos_);
-  merge_ = std::move(other.merge_);
+  scan_ = std::move(other.scan_);
+  scan_live_ = other.scan_live_;
   started_ = other.started_;
   done_ = other.done_;
   empty_atom_ = other.empty_atom_;
@@ -180,6 +192,10 @@ bool JoinIterator::SeekLevel(int level, Value from) {
 }
 
 bool JoinIterator::AdvanceToMatch() {
+  if (scan_live_) {  // seeks start from the runs the last merge reached
+    for (ScanCursor& m : scan_) *m.run = {m.run_begin, m.run_end};
+    scan_live_ = false;
+  }
   if (done_ || empty_atom_) {
     done_ = true;
     return false;
@@ -242,45 +258,43 @@ bool JoinIterator::Next(Tuple* out) {
   return true;
 }
 
-size_t JoinIterator::ScanLastLevel(TupleBuffer* out, size_t max_tuples) {
+[[gnu::always_inline]] inline size_t JoinIterator::ScanLastLevel(
+    TupleBuffer* out, size_t max_tuples) {
   const int level = num_levels_ - 1;
-  const auto& parts = participants_[level];
   const LevelConstraint& c = constraints_[level];
   if (c.kind == FBoxDim::kUnit) return 0;  // a unit level has one match
-  const size_t k = parts.size();
+  const Value hi = c.kind == FBoxDim::kRange ? c.hi : kTop;
+  const size_t k = scan_.size();
 
   size_t emitted = 0;
   if (k == 1) {
     // Single participant: a raw walk of its sorted column, run by run. The
     // values_/range_stack_ book-keeping the generic path resumes from is
     // written back once on exit, not per tuple.
-    const Participant& p = parts[0];
-    const SortedIndex& idx = *atoms()[p.atom].index;
-    const Value* col = idx.LevelData(p.trie_level);
-    const RowRange parent = range_stack_[p.atom][p.depth];
-    size_t pos = range_stack_[p.atom][p.depth + 1].end;  // past current run
+    ScanCursor& s = scan_[0];
+    const Value* col = s.col;
+    const size_t end = s.parent->end;
+    size_t pos = s.run->end;  // past the current run
     size_t run_begin = pos;
-    Value v = 0;
-    while (emitted < max_tuples && pos < parent.end) {
-      v = col[pos];
-      if (c.kind == FBoxDim::kRange && v > c.hi) break;
+    while (emitted < max_tuples && pos < end) {
+      const Value v = col[pos];
+      if (v > hi) break;
       ops::Bump();
       // Length-1 runs dominate set-semantics deepest levels: one inline
       // compare; real runs fall through to the block compare-and-count
       // kernel (which gallops past pathological ones).
-      size_t end = pos + 1;
-      if (end < parent.end && col[end] == v)
-        end = simd::RunEnd(col, pos, parent.end);
+      size_t next = pos + 1;
+      if (next < end && col[next] == v) next = simd::RunEnd(col, pos, end);
       Value* slot = out->AppendSlot();
       for (int l = 0; l < level; ++l) slot[l] = values_[l];
       slot[level] = v;
       run_begin = pos;
-      pos = end;
+      pos = next;
       ++emitted;
     }
     if (emitted > 0) {
       values_[level] = col[run_begin];
-      range_stack_[p.atom][p.depth + 1] = {run_begin, pos};
+      *s.run = {run_begin, pos};
     }
     return emitted;
   }
@@ -289,23 +303,23 @@ size_t JoinIterator::ScanLastLevel(TupleBuffer* out, size_t max_tuples) {
   // the others catch up by one inline step, galloping only when a cursor is
   // still behind after it. Every step is one op, so hard intersections
   // (long interleaved runs of non-matches) show up on the delay clock.
-  const Value hi = c.kind == FBoxDim::kRange ? c.hi : kTop;
-  for (size_t j = 0; j < k; ++j) {
-    const Participant& p = parts[j];
-    const RowRange run = range_stack_[p.atom][p.depth + 1];
-    merge_[j] = {atoms()[p.atom].index->LevelData(p.trie_level), run.end,
-                 range_stack_[p.atom][p.depth].end, run.begin, run.end};
+  if (!scan_live_) {
+    for (ScanCursor& s : scan_) {
+      s.pos = s.run_end = s.run->end;
+      s.run_begin = s.run->begin;
+      s.end = s.parent->end;
+    }
   }
   Value last = values_[level];
   while (emitted < max_tuples) {
-    const MergeCursor& lead = merge_[0];
+    const ScanCursor& lead = scan_[0];
     if (lead.pos >= lead.end) break;
     Value v = lead.col[lead.pos];
     if (v > hi) break;
     bool match = true;
     for (size_t agreed = 1, i = 1; agreed < k; i = i + 1 == k ? 0 : i + 1) {
       ops::Bump();
-      MergeCursor& m = merge_[i];
+      ScanCursor& m = scan_[i];
       size_t pos = m.pos;
       if (pos < m.end && m.col[pos] < v) {
         ++pos;
@@ -328,8 +342,7 @@ size_t JoinIterator::ScanLastLevel(TupleBuffer* out, size_t max_tuples) {
     }
     if (!match) break;
     // Every cursor sits on the first row of its v-run.
-    for (size_t j = 0; j < k; ++j) {
-      MergeCursor& m = merge_[j];
+    for (ScanCursor& m : scan_) {
       size_t end = m.pos + 1;
       if (end < m.end && m.col[end] == v)
         end = simd::RunEnd(m.col, m.pos, m.end);
@@ -342,14 +355,10 @@ size_t JoinIterator::ScanLastLevel(TupleBuffer* out, size_t max_tuples) {
     last = v;
     ++emitted;
   }
-  if (emitted > 0) {
-    values_[level] = last;
-    for (size_t j = 0; j < k; ++j) {
-      const Participant& p = parts[j];
-      range_stack_[p.atom][p.depth + 1] = {merge_[j].run_begin,
-                                           merge_[j].run_end};
-    }
-  }
+  values_[level] = last;
+  // The cursors now hold the runs: a call that resumes the scan continues
+  // from them, and AdvanceToMatch writes them back before it seeks.
+  if (emitted > 0) scan_live_ = true;
   return emitted;
 }
 
@@ -357,6 +366,12 @@ size_t JoinIterator::NextBatch(TupleBuffer* out, size_t max_tuples) {
   size_t emitted = 0;
   const bool scannable =
       num_levels_ > 0 && constraints_[num_levels_ - 1].kind != FBoxDim::kUnit;
+  // Already on a match (a batch ended inside a deepest-level run): resume
+  // with the inline scan step, so a max_tuples = 1 pull costs one step
+  // instead of a full AdvanceToMatch re-seek. ResetToBox/ResetToPoint
+  // clear started_, so a restarted box never resumes.
+  if (scannable && started_ && !done_ && !empty_atom_)
+    emitted = ScanLastLevel(out, max_tuples);
   while (emitted < max_tuples) {
     if (!AdvanceToMatch()) break;
     out->Append(values_);
@@ -369,7 +384,8 @@ size_t JoinIterator::NextBatch(TupleBuffer* out, size_t max_tuples) {
 
 BoxJoinEnumerator::BoxJoinEnumerator(std::vector<JoinAtomInput> atoms,
                                      int num_levels, std::vector<FBox> boxes)
-    : atoms_(std::move(atoms)),
+    : TupleEnumerator(num_levels),
+      atoms_(std::move(atoms)),
       num_levels_(num_levels),
       boxes_(std::move(boxes)) {
   active_ = AdvanceBox();
@@ -384,14 +400,6 @@ bool BoxJoinEnumerator::AdvanceBox() {
   return true;
 }
 
-bool BoxJoinEnumerator::Next(Tuple* out) {
-  while (active_) {
-    if (join_->Next(out)) return true;
-    active_ = AdvanceBox();
-  }
-  return false;
-}
-
 size_t BoxJoinEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {
   size_t emitted = 0;
   while (active_ && emitted < max_tuples) {
@@ -400,15 +408,6 @@ size_t BoxJoinEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {
     active_ = AdvanceBox();
   }
   return emitted;
-}
-
-bool RangeScanEnumerator::Next(Tuple* out) {
-  if (row_ >= range_.end) return false;
-  out->resize(to_ - from_);
-  for (int l = from_; l < to_; ++l)
-    (*out)[l - from_] = index_->ValueAt(l, row_);
-  ++row_;
-  return true;
 }
 
 size_t RangeScanEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {

@@ -88,7 +88,9 @@ class JoinIterator {
 
   /// Batch emission: appends up to `max_tuples` results to `out` (arity
   /// num_levels; not cleared) and returns the count; < max_tuples means
-  /// exhausted. Shares the stream with Next(). Beyond skipping the
+  /// exhausted. Shares the stream with Next(). A call that starts on a
+  /// match resumes the deepest-level scan inline, so max_tuples = 1 costs
+  /// one scan step rather than a re-seek. Beyond skipping the
   /// per-tuple copy, the deepest level is drained by a direct scan: a
   /// single participant's sorted column is walked run by run, and multiple
   /// participants (cyclic queries — triangle, Loomis–Whitney) are merged
@@ -125,8 +127,9 @@ class JoinIterator {
   // emits further matches that differ only in the last level. One
   // participant: a straight run-scan of its sorted column. Several
   // participants (cyclic deepest level): a k-way merge over their raw
-  // columns. Leaves values_/range_stack_ consistent for the generic path.
-  // Returns the number emitted.
+  // columns. Returns the number emitted. values_ always reflects the last
+  // emitted tuple; a merge leaves its runs in scan_ (scan_live_) until
+  // AdvanceToMatch writes them back to range_stack_.
   size_t ScanLastLevel(TupleBuffer* out, size_t max_tuples);
 
   const std::vector<JoinAtomInput>& atoms() const { return *atoms_; }
@@ -151,15 +154,21 @@ class JoinIterator {
   // Scratch: per-participant search cursor of the level being sought
   // (everything before seek_pos_[i] is known < the current target value).
   std::vector<size_t> seek_pos_;
-  // Scratch for ScanLastLevel's several-participant merge.
-  struct MergeCursor {
+  // The deepest level's participants, resolved once at construction: each
+  // one's sorted column and the addresses of its run and parent range in
+  // range_stack_, so resuming a scan costs a few loads. pos/end/run_* are
+  // the merge's cursor state.
+  struct ScanCursor {
     const Value* col = nullptr;
+    RowRange* run = nullptr;
+    const RowRange* parent = nullptr;
     size_t pos = 0;        // next unread row
     size_t end = 0;        // parent range end
     size_t run_begin = 0;  // run of the last emitted value
     size_t run_end = 0;
   };
-  std::vector<MergeCursor> merge_;
+  std::vector<ScanCursor> scan_;
+  bool scan_live_ = false;  // scan_ runs not yet in range_stack_
   bool started_ = false;
   bool done_ = false;
   bool empty_atom_ = false;  // some existence filter failed up front
@@ -179,7 +188,6 @@ class BoxJoinEnumerator : public TupleEnumerator {
   BoxJoinEnumerator(std::vector<JoinAtomInput> atoms, int num_levels,
                     std::vector<FBox> boxes);
 
-  bool Next(Tuple* out) override;
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override;
 
  private:
@@ -201,10 +209,13 @@ class RangeScanEnumerator : public TupleEnumerator {
  public:
   RangeScanEnumerator(const SortedIndex* index, RowRange range,
                       int from_level, int to_level)
-      : index_(index), range_(range), from_(from_level), to_(to_level),
+      : TupleEnumerator(to_level - from_level),
+        index_(index),
+        range_(range),
+        from_(from_level),
+        to_(to_level),
         row_(range.begin) {}
 
-  bool Next(Tuple* out) override;
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override;
 
  private:

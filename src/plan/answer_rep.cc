@@ -13,8 +13,9 @@ namespace {
 
 using EnumeratorResult = Result<std::unique_ptr<TupleEnumerator>>;
 
-EnumeratorResult EmptyStream() {
-  return std::unique_ptr<TupleEnumerator>(std::make_unique<EmptyEnumerator>());
+EnumeratorResult EmptyStream(int arity) {
+  return std::unique_ptr<TupleEnumerator>(
+      std::make_unique<EmptyEnumerator>(arity));
 }
 
 /// Lexicographic successor in raw value space (closed ranges over the full
@@ -173,7 +174,8 @@ Result<bool> AnswerRep::AnswerExists(const BoundValuation& vb,
   if (Status s = ValidateRequest(vb); !s.ok()) return s;
   // Existence is one O(delay) pull — the entry check suffices.
   if (Status s = RequestContext::Check(ctx); !s.ok()) return s;
-  return AnswerExistsImpl(vb);
+  Tuple t;
+  return AnswerImpl(vb)->Next(&t);
 }
 
 Result<uint64_t> AnswerRep::Count(const BoundValuation& vb,
@@ -258,7 +260,7 @@ EnumeratorResult AnswerRep::ResumeImpl(const BoundValuation& vb,
   // exactly where the cursor paused. A cursor carrying lex-range bounds
   // (taken over a ranged/shard stream) cannot be honored here — silently
   // skipping on the full stream would replay other shards' tuples.
-  if (cursor.exhausted) return EmptyStream();
+  if (cursor.exhausted) return EmptyStream(view().num_free());
   if (!cursor.range_lo.empty() || !cursor.range_hi.empty())
     return Status::Error(
         StrFormat("resume: %s cannot honor a range-restricted cursor",
@@ -268,12 +270,6 @@ EnumeratorResult AnswerRep::ResumeImpl(const BoundValuation& vb,
   std::unique_ptr<TupleEnumerator> e = AnswerImpl(vb);
   SkipTuples(*e, view().num_free(), cursor.emitted);
   return std::unique_ptr<TupleEnumerator>(std::move(e));
-}
-
-bool AnswerRep::AnswerExistsImpl(const BoundValuation& vb) const {
-  auto e = AnswerImpl(vb);
-  Tuple t;
-  return e->Next(&t);
 }
 
 uint64_t AnswerRep::CountImpl(const BoundValuation& vb) const {
@@ -338,10 +334,6 @@ EnumeratorResult CompressedAnswerRep::ResumeImpl(
   return rep_->Resume(vb, cursor);
 }
 
-bool CompressedAnswerRep::AnswerExistsImpl(const BoundValuation& vb) const {
-  return rep_->AnswerExists(vb);
-}
-
 std::unique_ptr<TupleEnumerator> CompressedAnswerRep::ParallelAnswerImpl(
     const BoundValuation& vb, const ParallelOptions& options) const {
   return cqc::ParallelAnswer(*rep_, vb, options);
@@ -383,7 +375,7 @@ std::unique_ptr<TupleEnumerator> DecomposedAnswerRep::AnswerImpl(
 
 EnumeratorResult DecomposedAnswerRep::ResumeImpl(
     const BoundValuation& vb, const EnumerationCursor& cursor) const {
-  if (cursor.exhausted) return EmptyStream();
+  if (cursor.exhausted) return EmptyStream(view().num_free());
   // Algorithm 5's order is not lex, so a range-carrying cursor (taken over
   // some other structure's ranged stream) cannot be honored; shard cursors
   // go through DecomposedRep::ResumeShard directly.
@@ -393,10 +385,6 @@ EnumeratorResult DecomposedAnswerRep::ResumeImpl(
   if (cursor.has_last && (int)cursor.last.size() != view().num_free())
     return Status::Error("resume: cursor tuple arity mismatch");
   return std::unique_ptr<TupleEnumerator>(rep_->Resume(vb, cursor));
-}
-
-bool DecomposedAnswerRep::AnswerExistsImpl(const BoundValuation& vb) const {
-  return rep_->AnswerExists(vb);
 }
 
 uint64_t DecomposedAnswerRep::CountImpl(const BoundValuation& vb) const {
@@ -450,9 +438,9 @@ EnumeratorResult DirectAnswerRep::ResumeImpl(
   // enumeration over [succ(last), range_hi] in raw value space (no grid:
   // the join itself skips values absent from the data).
   const int mu = view().num_free();
-  if (cursor.exhausted) return EmptyStream();
+  if (cursor.exhausted) return EmptyStream(mu);
   if (mu == 0) {
-    if (cursor.emitted > 0) return EmptyStream();
+    if (cursor.emitted > 0) return EmptyStream(mu);
     return std::unique_ptr<TupleEnumerator>(AnswerImpl(vb));
   }
   FInterval range{Tuple((size_t)mu, kBottom), Tuple((size_t)mu, kTop)};
@@ -471,13 +459,9 @@ EnumeratorResult DirectAnswerRep::ResumeImpl(
       return Status::Error("resume: cursor tuple arity mismatch");
     range.lo = cursor.last;
     if (!ValueSpaceSucc(range.lo))  // paused on the value-space maximum
-      return EmptyStream();
+      return EmptyStream(mu);
   }
   return std::unique_ptr<TupleEnumerator>(rep_->AnswerRange(vb, range));
-}
-
-bool DirectAnswerRep::AnswerExistsImpl(const BoundValuation& vb) const {
-  return rep_->AnswerExists(vb);
 }
 
 // --- MaterializedAnswerRep --------------------------------------------------
@@ -504,10 +488,6 @@ std::unique_ptr<TupleEnumerator> MaterializedAnswerRep::AnswerImpl(
   return rep_->Answer(vb);
 }
 
-bool MaterializedAnswerRep::AnswerExistsImpl(const BoundValuation& vb) const {
-  return rep_->AnswerExists(vb);
-}
-
 uint64_t MaterializedAnswerRep::CountImpl(const BoundValuation& vb) const {
   // O(num_bound * log) index refinements; no scan.
   return rep_->CountAnswer(vb);
@@ -532,7 +512,7 @@ RepCapabilities UpdatableAnswerRep::capabilities() const {
   // aggregate flag follows the snapshot structure's annotations (pending
   // epochs still answer, via drain-and-fold).
   return KindCapabilities(RepKind::kUpdatable, rep_->view().num_free(),
-                          rep_->rep().has_aggregates());
+                          rep_->has_aggregates());
 }
 
 std::string UpdatableAnswerRep::Describe() const {
@@ -553,10 +533,6 @@ Status UpdatableAnswerRep::ApplyDelta(const UpdateBatch& delta) {
 std::unique_ptr<TupleEnumerator> UpdatableAnswerRep::AnswerImpl(
     const BoundValuation& vb) const {
   return rep_->Answer(vb);
-}
-
-bool UpdatableAnswerRep::AnswerExistsImpl(const BoundValuation& vb) const {
-  return rep_->AnswerExists(vb);
 }
 
 AggregateResult UpdatableAnswerRep::AnswerAggregateImpl(

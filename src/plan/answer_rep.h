@@ -182,8 +182,6 @@ class AnswerRep {
   /// Default: re-enumerate and skip cursor.emitted tuples (O(emitted)).
   virtual Result<std::unique_ptr<TupleEnumerator>> ResumeImpl(
       const BoundValuation& vb, const EnumerationCursor& cursor) const;
-  /// Default: pull one tuple.
-  virtual bool AnswerExistsImpl(const BoundValuation& vb) const;
   /// Default: drain through the batch API.
   virtual uint64_t CountImpl(const BoundValuation& vb) const;
   /// Default: drain the stream and fold (GroupedDrainAggregate).
@@ -227,7 +225,6 @@ class CompressedAnswerRep : public AnswerRep {
       const BoundValuation& vb, const FInterval& range) const override;
   Result<std::unique_ptr<TupleEnumerator>> ResumeImpl(
       const BoundValuation& vb, const EnumerationCursor& cursor) const override;
-  bool AnswerExistsImpl(const BoundValuation& vb) const override;
   std::unique_ptr<TupleEnumerator> ParallelAnswerImpl(
       const BoundValuation& vb, const ParallelOptions& options) const override;
   AggregateResult AnswerAggregateImpl(
@@ -258,7 +255,6 @@ class DecomposedAnswerRep : public AnswerRep {
       const BoundValuation& vb) const override;
   Result<std::unique_ptr<TupleEnumerator>> ResumeImpl(
       const BoundValuation& vb, const EnumerationCursor& cursor) const override;
-  bool AnswerExistsImpl(const BoundValuation& vb) const override;
   uint64_t CountImpl(const BoundValuation& vb) const override;
   std::unique_ptr<TupleEnumerator> ParallelAnswerImpl(
       const BoundValuation& vb, const ParallelOptions& options) const override;
@@ -290,7 +286,6 @@ class DirectAnswerRep : public AnswerRep {
       const BoundValuation& vb, const FInterval& range) const override;
   Result<std::unique_ptr<TupleEnumerator>> ResumeImpl(
       const BoundValuation& vb, const EnumerationCursor& cursor) const override;
-  bool AnswerExistsImpl(const BoundValuation& vb) const override;
 
  private:
   std::unique_ptr<DirectEval> rep_;
@@ -312,7 +307,6 @@ class MaterializedAnswerRep : public AnswerRep {
  protected:
   std::unique_ptr<TupleEnumerator> AnswerImpl(
       const BoundValuation& vb) const override;
-  bool AnswerExistsImpl(const BoundValuation& vb) const override;
   uint64_t CountImpl(const BoundValuation& vb) const override;
   AggregateResult AnswerAggregateImpl(
       const BoundValuation& vb, const std::vector<int>& group_vars,
@@ -354,7 +348,6 @@ class UpdatableAnswerRep : public AnswerRep {
  protected:
   std::unique_ptr<TupleEnumerator> AnswerImpl(
       const BoundValuation& vb) const override;
-  bool AnswerExistsImpl(const BoundValuation& vb) const override;
   AggregateResult AnswerAggregateImpl(
       const BoundValuation& vb, const std::vector<int>& group_vars,
       const AggSpec& spec) const override;

@@ -69,7 +69,7 @@ void Relation::Seal() {
       active_domains_[c] = std::move(dom);
     });
   }
-  par::RunTasks(std::move(tasks));
+  par::RunTasks(std::move(tasks), num_rows_);
   staging_.clear();
   staging_.shrink_to_fit();
   sealed_ = true;

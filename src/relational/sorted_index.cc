@@ -40,7 +40,7 @@ SortedIndex::SortedIndex(const Relation& rel, std::vector<int> perm)
       for (size_t i = 0; i < num_rows_; ++i) cols_[level][i] = col[order[i]];
     });
   }
-  par::RunTasks(std::move(tasks));
+  par::RunTasks(std::move(tasks), num_rows_);
 }
 
 size_t SortedIndex::LowerBound(RowRange r, int level, Value v) const {

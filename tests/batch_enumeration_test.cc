@@ -5,6 +5,8 @@
 // mixed Next/NextBatch pulls. Runs across the property-sweep query set.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "baseline/direct_eval.h"
 #include "baseline/materialized_view.h"
 #include "core/compressed_rep.h"
@@ -33,7 +35,30 @@ void CheckBatchAgreement(
   // Baseline: one-at-a-time.
   {
     auto e = make();
+    EXPECT_EQ(e->arity(), arity);
     EXPECT_EQ(CollectAll(*e), expected);
+  }
+  // One producer: call by call, Next() spends exactly the operations that
+  // NextBatch(&buf, 1) spends on a fresh twin stream, so the delay that
+  // MeasureEnumeration reports is the delay of one tuple.
+  {
+    auto single = make();
+    auto twin = make();
+    TupleBuffer buf(arity);
+    Tuple t;
+    for (size_t call = 0;; ++call) {
+      uint64_t start = ops::Now();
+      const bool more = single->Next(&t);
+      const uint64_t next_ops = ops::Now() - start;
+      buf.Clear();
+      start = ops::Now();
+      const size_t n = twin->NextBatch(&buf, 1);
+      const uint64_t batch_ops = ops::Now() - start;
+      ASSERT_EQ(next_ops, batch_ops) << "call " << call;
+      ASSERT_EQ(more, n == 1) << "call " << call;
+      if (!more) break;
+      EXPECT_EQ(TupleSpan(t), buf[0]) << "call " << call;
+    }
   }
   // Batched, various sizes: n = 1, tiny sizes that force partial final
   // batches, and a size larger than the whole stream.
@@ -217,6 +242,57 @@ TEST(BatchEnumeration, DecomposedRepAgrees) {
     auto reference = CollectAll(*rep.value()->Answer(vb));
     CheckBatchAgreement([&] { return rep.value()->Answer(vb); }, arity,
                         reference);
+  }
+}
+
+// ProjectingEnumerator's NextBatch pulls its inner stream in slices and
+// drops repeated projections: run it through every batch size and mixed
+// pulls, over inner streams with many repeats.
+TEST(BatchEnumeration, ProjectingEnumeratorAgrees) {
+  Database db;
+  Rng rng(7);
+  for (const char* name : {"R", "S", "T", "U"}) {
+    std::vector<Tuple> rows;
+    for (int i = 0; i < 40; ++i)
+      rows.push_back({rng.UniformRange(1, 6), rng.UniformRange(1, 6)});
+    AddRelation(db, name, 2, rows);
+  }
+  auto view =
+      ParseAdornedView("Q^bfff(a,b,c,d) = R(a,b), S(b,c), T(c,d), U(d,a)");
+  ASSERT_TRUE(view.ok());
+  CompressedRepOptions copt;
+  copt.tau = 3.0;
+  auto cr = CompressedRep::Build(view.value(), db, copt);
+  ASSERT_TRUE(cr.ok());
+  auto de = DirectEval::Build(view.value(), db);
+  ASSERT_TRUE(de.ok());
+  for (const std::vector<int>& positions :
+       {std::vector<int>{0}, std::vector<int>{2, 0}, std::vector<int>{1, 1},
+        std::vector<int>{0, 1, 2}}) {
+    for (const BoundValuation& vb :
+         InterestingBoundValuations(view.value(), db)) {
+      // Distinct projections in order of first appearance.
+      std::vector<Tuple> expected;
+      std::set<Tuple> seen;
+      for (const Tuple& t : OracleAnswer(view.value(), db, vb)) {
+        Tuple p;
+        for (int i : positions) p.push_back(t[i]);
+        if (seen.insert(p).second) expected.push_back(p);
+      }
+      const int arity = (int)positions.size();
+      CheckBatchAgreement(
+          [&]() -> std::unique_ptr<TupleEnumerator> {
+            return std::make_unique<ProjectingEnumerator>(
+                cr.value()->Answer(vb), positions);
+          },
+          arity, expected);
+      CheckBatchAgreement(
+          [&]() -> std::unique_ptr<TupleEnumerator> {
+            return std::make_unique<ProjectingEnumerator>(
+                de.value()->Answer(vb), positions);
+          },
+          arity, expected);
+    }
   }
 }
 

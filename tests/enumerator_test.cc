@@ -6,14 +6,15 @@ namespace cqc {
 namespace {
 
 TEST(EnumeratorTest, EmptyEnumerator) {
-  EmptyEnumerator e;
+  EmptyEnumerator e(2);
+  EXPECT_EQ(e.arity(), 2);
   Tuple t;
   EXPECT_FALSE(e.Next(&t));
   EXPECT_FALSE(e.Next(&t));
 }
 
 TEST(EnumeratorTest, VectorEnumerator) {
-  VectorEnumerator e({{1, 2}, {3, 4}});
+  VectorEnumerator e(2, {{1, 2}, {3, 4}});
   Tuple t;
   ASSERT_TRUE(e.Next(&t));
   EXPECT_EQ(t, (Tuple{1, 2}));
@@ -23,7 +24,7 @@ TEST(EnumeratorTest, VectorEnumerator) {
 }
 
 TEST(EnumeratorTest, CollectAll) {
-  VectorEnumerator e({{1}, {2}, {3}});
+  VectorEnumerator e(1, {{1}, {2}, {3}});
   auto all = CollectAll(e);
   EXPECT_EQ(all.size(), 3u);
 }
@@ -32,14 +33,18 @@ TEST(EnumeratorTest, MeasureCountsAndOps) {
   // An enumerator that burns a known number of ops per tuple.
   class OpBurner : public TupleEnumerator {
    public:
-    bool Next(Tuple* out) override {
-      if (i_ >= 5) {
-        ops::Bump(100);  // expensive exhaustion detection
-        return false;
+    OpBurner() : TupleEnumerator(1) {}
+    size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
+      size_t n = 0;
+      for (; n < max_tuples; ++n) {
+        if (i_ >= 5) {
+          ops::Bump(100);  // expensive exhaustion detection
+          break;
+        }
+        ops::Bump(10 * (i_ + 1));  // growing per-tuple work
+        out->Append(Tuple{i_++});
       }
-      ops::Bump(10 * (i_ + 1));  // growing per-tuple work
-      out->assign(1, i_++);
-      return true;
+      return n;
     }
 
    private:
@@ -54,7 +59,7 @@ TEST(EnumeratorTest, MeasureCountsAndOps) {
 }
 
 TEST(EnumeratorTest, MeasureSinkCollects) {
-  VectorEnumerator e({{7}, {8}});
+  VectorEnumerator e(1, {{7}, {8}});
   std::vector<Tuple> sink;
   DelayProfile p = MeasureEnumeration(e, &sink);
   EXPECT_EQ(p.num_tuples, 2u);
@@ -63,14 +68,14 @@ TEST(EnumeratorTest, MeasureSinkCollects) {
 }
 
 TEST(EnumeratorTest, EmptyResultStillMeasuresExhaustion) {
-  EmptyEnumerator e;
+  EmptyEnumerator e(1);
   DelayProfile p = MeasureEnumeration(e);
   EXPECT_EQ(p.num_tuples, 0u);
   EXPECT_GE(p.total_seconds, 0.0);
 }
 
 TEST(ProjectingEnumeratorTest, DedupsProjections) {
-  auto inner = std::make_unique<VectorEnumerator>(std::vector<Tuple>{
+  auto inner = std::make_unique<VectorEnumerator>(3, std::vector<Tuple>{
       {1, 10, 5}, {1, 20, 5}, {2, 10, 6}, {1, 30, 5}, {2, 40, 7}});
   ProjectingEnumerator e(std::move(inner), {0, 2});
   auto got = CollectAll(e);
@@ -79,7 +84,7 @@ TEST(ProjectingEnumeratorTest, DedupsProjections) {
 
 TEST(ProjectingEnumeratorTest, ReorderAndRepeatColumns) {
   auto inner = std::make_unique<VectorEnumerator>(
-      std::vector<Tuple>{{1, 2}, {3, 4}});
+      2, std::vector<Tuple>{{1, 2}, {3, 4}});
   ProjectingEnumerator e(std::move(inner), {1, 0, 1});
   auto got = CollectAll(e);
   EXPECT_EQ(got, (std::vector<Tuple>{{2, 1, 2}, {4, 3, 4}}));
@@ -88,7 +93,7 @@ TEST(ProjectingEnumeratorTest, ReorderAndRepeatColumns) {
 TEST(ProjectingEnumeratorTest, CoauthorProjectionUseCase) {
   // The paper's intro view V^bf(x,y) = R(x,p), R(y,p): project the witness
   // paper away from the full variant and deduplicate co-authors.
-  auto inner = std::make_unique<VectorEnumerator>(std::vector<Tuple>{
+  auto inner = std::make_unique<VectorEnumerator>(2, std::vector<Tuple>{
       {7, 100}, {7, 101}, {8, 100}, {9, 200}});  // (y, p) pairs
   ProjectingEnumerator e(std::move(inner), {0});
   auto got = CollectAll(e);

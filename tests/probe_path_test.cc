@@ -247,6 +247,33 @@ TEST(ParallelBuild, MatchesSerialBuildByteForByte) {
       << "parallel build diverged from serial build";
 }
 
+// Seal's column scatter and a SortedIndex build split their columns over
+// par::RunTasks, which goes serial below par::kMinParallelSort rows. On
+// both sides of that line a 4-thread build must equal the serial one.
+TEST(ParallelBuild, ColumnTasksMatchSerialAroundTheSplitThreshold) {
+  for (size_t rows : {par::kMinParallelSort - 1, par::kMinParallelSort + 1000}) {
+    auto build = [rows](int threads, std::vector<std::vector<Value>>* cols) {
+      par::SetBuildThreads(threads);
+      Rng rng(11);
+      Relation rel("R", 3);
+      for (size_t i = 0; i < rows; ++i)
+        rel.Insert({rng.Uniform(1u << 20), rng.Uniform(64), rng.Uniform(7)});
+      rel.Seal();
+      const SortedIndex& idx = rel.GetIndex({2, 0, 1});
+      cols->clear();
+      for (int c = 0; c < 3; ++c)
+        cols->emplace_back(rel.ColumnData(c), rel.ColumnData(c) + rel.size());
+      for (int l = 0; l < 3; ++l)
+        cols->emplace_back(idx.LevelData(l), idx.LevelData(l) + rel.size());
+      par::SetBuildThreads(0);
+    };
+    std::vector<std::vector<Value>> serial, parallel;
+    build(1, &serial);
+    build(4, &parallel);
+    EXPECT_EQ(serial, parallel) << "rows " << rows;
+  }
+}
+
 TEST(ParallelBuild, ParallelSortMatchesStdSort) {
   par::SetBuildThreads(4);
   Rng rng(3);

@@ -270,11 +270,15 @@ TEST_F(SimdKernelsTest, TombstoneFilterMatchesOracleUnderChurn) {
 
     // The tombstone filter must agree with the oracle at every dispatch
     // level — and with itself across levels — on the single-tuple Next()
-    // drain and the NextBatch() drain alike.
+    // drain, the NextBatch(…, 1) drain and the NextBatch() drain alike.
     std::vector<Tuple> scalar_single;
     for (simd::Level level : simd::SupportedLevels()) {
       ASSERT_EQ(simd::SetLevel(level), level);
       std::vector<Tuple> single = CollectAll(*rep.value()->Answer({}));
+      const TupleBuffer ones =
+          CollectAllBatched(*rep.value()->Answer({}), view.num_free(), 1);
+      EXPECT_EQ(ones.ToTuples(), single)
+          << "level=" << simd::LevelName(level) << " round=" << round;
       const TupleBuffer batched =
           CollectAllBatched(*rep.value()->Answer({}), view.num_free(), 33);
       std::vector<Tuple> batched_tuples;

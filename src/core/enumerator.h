@@ -6,9 +6,9 @@
 // consecutive outputs — exactly as §2.3 defines it.
 //
 // A stream has one producer: NextBatch() is the only stream virtual, and
-// the single-tuple Next() is NextBatch(…, 1) plus a copy. So the delay of
-// a Next() call is exactly the work of producing one tuple, and the two
-// pulls can never diverge.
+// the single-tuple Next() is NextBatch(…, 1) into the caller's tuple. So
+// the delay of a Next() call is exactly the work of producing one tuple,
+// and the two pulls can never diverge.
 #ifndef CQC_CORE_ENUMERATOR_H_
 #define CQC_CORE_ENUMERATOR_H_
 
@@ -29,10 +29,10 @@ namespace cqc {
 class TupleEnumerator {
  public:
   /// `arity` is the width of every tuple the stream yields.
-  explicit TupleEnumerator(int arity) : one_(arity) {}
+  explicit TupleEnumerator(int arity) : arity_(arity) {}
   virtual ~TupleEnumerator() = default;
 
-  int arity() const { return one_.arity(); }
+  int arity() const { return arity_; }
 
   /// Batch pull: appends up to `max_tuples` tuples to `out` (which must have
   /// the stream's arity; it is NOT cleared) and returns how many were
@@ -41,15 +41,13 @@ class TupleEnumerator {
 
   /// Writes the next tuple into `out`; returns false when exhausted. Shares
   /// the stream with NextBatch(): mixing the two never duplicates or drops
-  /// tuples.
+  /// tuples. The one-tuple batch is `out`'s own storage, so the producer
+  /// writes the tuple in place and nothing is copied.
   bool Next(Tuple* out) {
-    one_.Clear();
-    if (NextBatch(&one_, 1) == 0) return false;
-    // An element loop, not assign(): a few values copy inline, where
-    // assign() calls memmove once per tuple.
-    const Value* t = one_.data();
-    out->resize(arity());
-    for (int i = 0; i < arity(); ++i) (*out)[i] = t[i];
+    out->resize(arity_);
+    TupleBuffer one(arity_, out->data());
+    if (NextBatch(&one, 1) == 0) return false;
+    CQC_DCHECK(one.data() == out->data());  // a one-tuple batch never grows
     return true;
   }
 
@@ -61,7 +59,7 @@ class TupleEnumerator {
   virtual Status StreamStatus() const { return Status::Ok(); }
 
  private:
-  TupleBuffer one_;  // Next()'s one-tuple batch
+  int arity_;
 };
 
 /// An enumerator over an empty result.
@@ -100,10 +98,13 @@ class VectorEnumerator : public TupleEnumerator {
 /// `status()` after the stream ends; callers that don't see a normal
 /// exhausted stream.
 ///
-/// Poll cadence: once per NextBatch call (so once per Next), whatever the
-/// batch size — one steady_clock read amortized over a batch of work, which
-/// keeps the overhead inside the bench gate for batched drains while still
-/// honoring "stops within one batch of work".
+/// Poll cadence: once per NextBatch call, whatever the batch size — one
+/// steady_clock read amortized over a batch of work, which keeps the
+/// overhead inside the bench gate for batched drains while still honoring
+/// "stops within one batch of work". A Next is a one-tuple batch, so a
+/// caller that pulls a wrapped stream one tuple at a time pays a clock read
+/// per tuple (see docs/robustness.md); the library's own consumers drain in
+/// batches.
 class DeadlineCheckedEnumerator : public TupleEnumerator {
  public:
   /// `ctx` may be null (wrapper becomes pass-through). Does not own it.

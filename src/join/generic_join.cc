@@ -55,46 +55,11 @@ JoinIterator::JoinIterator(std::vector<JoinAtomInput> atoms, int num_levels,
                            std::vector<LevelConstraint> constraints)
     : JoinIterator(&atoms, num_levels, std::move(constraints)) {
   // The delegated ctor read from the caller's vector; adopt it afterwards
-  // (element heap buffers are stable under vector move).
-  owned_atoms_ = std::move(atoms);
-  atoms_ = &owned_atoms_;
-}
-
-JoinIterator::JoinIterator(JoinIterator&& other) noexcept
-    : owned_atoms_(std::move(other.owned_atoms_)),
-      atoms_(other.atoms_ == &other.owned_atoms_ ? &owned_atoms_
-                                                 : other.atoms_),
-      num_levels_(other.num_levels_),
-      constraints_(std::move(other.constraints_)),
-      participants_(std::move(other.participants_)),
-      range_stack_(std::move(other.range_stack_)),
-      values_(std::move(other.values_)),
-      valid_levels_(other.valid_levels_),
-      seek_pos_(std::move(other.seek_pos_)),
-      scan_(std::move(other.scan_)),
-      scan_live_(other.scan_live_),
-      started_(other.started_),
-      done_(other.done_),
-      empty_atom_(other.empty_atom_) {}
-
-JoinIterator& JoinIterator::operator=(JoinIterator&& other) noexcept {
-  if (this == &other) return *this;
-  const bool owned = other.atoms_ == &other.owned_atoms_;
-  owned_atoms_ = std::move(other.owned_atoms_);
-  atoms_ = owned ? &owned_atoms_ : other.atoms_;
-  num_levels_ = other.num_levels_;
-  constraints_ = std::move(other.constraints_);
-  participants_ = std::move(other.participants_);
-  range_stack_ = std::move(other.range_stack_);
-  values_ = std::move(other.values_);
-  valid_levels_ = other.valid_levels_;
-  seek_pos_ = std::move(other.seek_pos_);
-  scan_ = std::move(other.scan_);
-  scan_live_ = other.scan_live_;
-  started_ = other.started_;
-  done_ = other.done_;
-  empty_atom_ = other.empty_atom_;
-  return *this;
+  // (element heap buffers are stable under vector move), on the heap, so
+  // moving the iterator keeps atoms_ valid.
+  owned_atoms_ =
+      std::make_unique<const std::vector<JoinAtomInput>>(std::move(atoms));
+  atoms_ = owned_atoms_.get();
 }
 
 void JoinIterator::ResetToBox(const FBox& box) {

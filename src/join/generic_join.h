@@ -12,6 +12,7 @@
 #ifndef CQC_JOIN_GENERIC_JOIN_H_
 #define CQC_JOIN_GENERIC_JOIN_H_
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -62,9 +63,6 @@ class JoinIterator {
   /// paying no per-box allocation.
   JoinIterator(const std::vector<JoinAtomInput>* atoms, int num_levels,
                std::vector<LevelConstraint> constraints);
-
-  JoinIterator(JoinIterator&& other) noexcept;
-  JoinIterator& operator=(JoinIterator&& other) noexcept;
 
   /// Rewinds the iterator to run again from the same atom inputs, restricted
   /// to `box` (box.mu() == num_levels). Reuses every internal buffer.
@@ -135,9 +133,8 @@ class JoinIterator {
   const std::vector<JoinAtomInput>& atoms() const { return *atoms_; }
 
   // Either owns the inputs (owned_atoms_, atoms_ points at it) or borrows
-  // a caller-owned vector. The custom move operations re-point atoms_ when
-  // the owned storage moves.
-  std::vector<JoinAtomInput> owned_atoms_;
+  // a caller-owned vector.
+  std::unique_ptr<const std::vector<JoinAtomInput>> owned_atoms_;
   const std::vector<JoinAtomInput>* atoms_ = nullptr;
   int num_levels_;
   std::vector<LevelConstraint> constraints_;

@@ -7,7 +7,9 @@
 // new slots uninitialized (AppendSlot hands the raw slot to the producer),
 // which keeps the append fast path to a capacity check and a pointer bump.
 // The buffer is meant to be reused across batches: Clear() keeps the
-// capacity.
+// capacity. A buffer can also start on caller storage for one tuple
+// (TupleEnumerator::Next hands its caller's Tuple to the producer this way);
+// growing past it moves the buffer to storage of its own.
 #ifndef CQC_UTIL_TUPLE_BUFFER_H_
 #define CQC_UTIL_TUPLE_BUFFER_H_
 
@@ -28,6 +30,11 @@ class TupleBuffer {
     CQC_CHECK_GE(arity, 0);
   }
 
+  /// A buffer whose first tuple is written into `slot`, caller storage of
+  /// `arity` values (null when arity is 0). It does not own `slot`.
+  TupleBuffer(int arity, Value* slot)
+      : arity_(arity), cap_(arity), data_(slot) {}
+
   TupleBuffer(TupleBuffer&&) = default;
   TupleBuffer& operator=(TupleBuffer&&) = default;
 
@@ -44,12 +51,11 @@ class TupleBuffer {
   void Reserve(size_t num_tuples) { Grow(num_tuples * arity_); }
 
   /// Appends one uninitialized tuple and returns a pointer to its `arity()`
-  /// slots (nullptr when arity is 0 — the tuple still counts).
+  /// slots (none when arity is 0 — the tuple still counts).
   Value* AppendSlot() {
     ++count_;
-    if (arity_ == 0) return nullptr;
     if (used_ + arity_ > cap_) Grow(used_ + arity_);
-    Value* slot = data_.get() + used_;
+    Value* slot = data_ + used_;
     used_ += arity_;
     return slot;
   }
@@ -62,12 +68,12 @@ class TupleBuffer {
   }
 
   TupleSpan operator[](size_t i) const {
-    return TupleSpan(data_.get() + i * arity_, arity_);
+    return TupleSpan(data_ + i * arity_, arity_);
   }
   TupleSpan back() const { return (*this)[count_ - 1]; }
 
   /// The flat row-major payload (size() * arity() values).
-  const Value* data() const { return data_.get(); }
+  const Value* data() const { return data_; }
 
   /// Materializes owning tuples (tests / interop with legacy call sites).
   std::vector<Tuple> ToTuples() const {
@@ -78,13 +84,16 @@ class TupleBuffer {
   }
 
  private:
-  void Grow(size_t min_values) {
+  // Out of line: the append fast path stays a check and a bump, and the
+  // producers that inline it keep the allocation off their hot path.
+  [[gnu::noinline]] void Grow(size_t min_values) {
     if (min_values <= cap_) return;
     size_t cap = cap_ == 0 ? 64 : cap_;
     while (cap < min_values) cap *= 2;
     std::unique_ptr<Value[]> grown(new Value[cap]);
-    if (used_ > 0) std::memcpy(grown.get(), data_.get(), used_ * sizeof(Value));
-    data_ = std::move(grown);
+    if (used_ > 0) std::memcpy(grown.get(), data_, used_ * sizeof(Value));
+    owned_ = std::move(grown);
+    data_ = owned_.get();
     cap_ = cap;
   }
 
@@ -92,7 +101,8 @@ class TupleBuffer {
   size_t count_ = 0;  // tuples
   size_t used_ = 0;   // values
   size_t cap_ = 0;    // values
-  std::unique_ptr<Value[]> data_;
+  Value* data_ = nullptr;  // owned_, or caller storage for one tuple
+  std::unique_ptr<Value[]> owned_;
 };
 
 }  // namespace cqc

@@ -57,6 +57,37 @@ Fixture& F() {
   return f;
 }
 
+// Chains the answers of a list of requests into one stream, so the single
+// and batched drains of a request sweep see identical streams.
+class ConcatEnumerator : public TupleEnumerator {
+ public:
+  ConcatEnumerator(const CompressedRep* rep,
+                   const std::vector<BoundValuation>* requests)
+      : TupleEnumerator(rep->view().num_free()),
+        rep_(rep),
+        requests_(requests) {}
+  size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
+    size_t n = 0;
+    while (n < max_tuples) {
+      if (!cur_ && !Open()) break;
+      n += cur_->NextBatch(out, max_tuples - n);
+      if (n < max_tuples) cur_.reset();
+    }
+    return n;
+  }
+
+ private:
+  bool Open() {
+    if (idx_ >= requests_->size()) return false;
+    cur_ = rep_->Answer((*requests_)[idx_++]);
+    return true;
+  }
+  const CompressedRep* rep_;
+  const std::vector<BoundValuation>* requests_;
+  size_t idx_ = 0;
+  std::unique_ptr<TupleEnumerator> cur_;
+};
+
 void BM_BoxDecompose(benchmark::State& state) {
   const int mu = (int)state.range(0);
   Tuple lo(mu), hi(mu);
@@ -453,42 +484,51 @@ void WriteMicroReport() {
   }
   {
     // Bound-request sweep on the fixture triangle (tiny outputs: shows the
-    // per-request floor rather than the bulk path). One enumerator chains
-    // every request so the single and batched drains see identical streams.
-    class ConcatEnumerator : public TupleEnumerator {
-     public:
-      ConcatEnumerator(const CompressedRep* rep,
-                       const std::vector<BoundValuation>* requests)
-          : TupleEnumerator(rep->view().num_free()),
-            rep_(rep),
-            requests_(requests) {}
-      size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
-        size_t n = 0;
-        while (n < max_tuples) {
-          if (!cur_ && !Open()) break;
-          n += cur_->NextBatch(out, max_tuples - n);
-          if (n < max_tuples) cur_.reset();
-        }
-        return n;
-      }
-
-     private:
-      bool Open() {
-        if (idx_ >= requests_->size()) return false;
-        cur_ = rep_->Answer((*requests_)[idx_++]);
-        return true;
-      }
-      const CompressedRep* rep_;
-      const std::vector<BoundValuation>* requests_;
-      size_t idx_ = 0;
-      std::unique_ptr<TupleEnumerator> cur_;
-    };
+    // per-request floor rather than the bulk path).
     record("compressed_rep_triangle_bfb_requests",
            [&]() -> std::unique_ptr<TupleEnumerator> {
              return std::make_unique<ConcatEnumerator>(f.rep.get(),
                                                        &f.requests);
            },
            f.view->num_free(), 64);
+  }
+  {
+    // Bound-request sweep with bulk outputs: Q^bff over a tripartite
+    // triangle graph with m = 110 and each biclique edge kept with
+    // probability 0.95, at tau = 49.42 — the triangle perfbench's
+    // wire_fanout serves. Every key has ~20.9k answers and an Algorithm 2
+    // walk of ~4k tree frames with 0-bit gaps, so this is the record that
+    // shows the walk and its join restarts. Reported, not gated.
+    constexpr Value kM = 110;
+    Database db;
+    Relation* r = db.AddRelation("R", 2);
+    Rng rng(1);
+    auto biclique = [&](Value lo1, Value lo2) {
+      for (Value a = 0; a < kM; ++a) {
+        for (Value b = 0; b < kM; ++b) {
+          if (!rng.Bernoulli(0.95)) continue;
+          r->Insert({lo1 + a, lo2 + b});
+          r->Insert({lo2 + b, lo1 + a});
+        }
+      }
+    };
+    biclique(1, kM + 1);
+    biclique(kM + 1, 2 * kM + 1);
+    biclique(2 * kM + 1, 1);
+    r->Seal();
+    AdornedView view = TriangleView("bff");
+    CompressedRepOptions copt;
+    copt.tau = 49.42;
+    auto cr = CompressedRep::Build(view, db, copt);
+    CQC_CHECK(cr.ok()) << cr.status().message();
+    std::vector<BoundValuation> keys;
+    for (Value k = 1; k <= 3 * kM; ++k) keys.push_back({k});
+    record("compressed_rep_triangle_bff_requests",
+           [&]() -> std::unique_ptr<TupleEnumerator> {
+             return std::make_unique<ConcatEnumerator>(cr.value().get(),
+                                                       &keys);
+           },
+           view.num_free(), 5);
   }
   {
     // Cyclic case for the scan fast path: the triangle's deepest level has

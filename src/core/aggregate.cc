@@ -96,15 +96,29 @@ AggregateResult GroupedDrainAggregate(TupleEnumerator& e, int num_free,
   const int k = (int)group_vars.size();
   const int value_var = spec.func == AggFunc::kCount ? -1 : spec.value_var;
   CQC_DCHECK(value_var < 0 || (value_var >= 0 && value_var < num_free));
+  constexpr size_t kBatch = 256;
+  TupleBuffer batch(num_free);
+  if (k == 0) {
+    // One group: arrival order does not matter, so the streaming
+    // accumulator folds it without a map.
+    AggSpec one = spec;
+    one.value_var = value_var;
+    GroupAccumulator acc(0, one);
+    for (;;) {
+      batch.Clear();
+      const size_t n = e.NextBatch(&batch, kBatch);
+      for (size_t i = 0; i < n; ++i) acc.AddTuple(batch[i]);
+      if (n < kBatch) break;
+    }
+    return acc.Finish();
+  }
   // One ordered map keyed by the extracted group key: lex key order is
   // vector order, so the flattening loop emits groups strictly ascending —
   // byte-identical to what the in-order annotation walks produce. The
   // scratch key is reused and only copied into the map on first sight of a
   // group, so the steady-state fold allocates nothing.
   std::map<Tuple, AggCell> groups;
-  TupleBuffer batch(num_free);
   Tuple key((size_t)k);
-  constexpr size_t kBatch = 256;
   for (;;) {
     batch.Clear();
     const size_t n = e.NextBatch(&batch, kBatch);

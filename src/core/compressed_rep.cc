@@ -170,15 +170,29 @@ Result<std::unique_ptr<CompressedRep>> CompressedRep::Build(
 // stops after `max_tuples`: a single-tuple pull (Next() is
 // NextBatch(…, 1)) does the work of one output and no more.
 //
-// An optional lex range [range_lo_, range_hi_] restricts the traversal: every
-// interval is clipped against the range when its frame is pushed (the child
-// derivation below a clipped parent can escape the parent's bounds, so the
-// clip must happen at every push, not just at the root), subtrees whose
-// clipped interval is empty are skipped, and split points are emitted only
-// when they fall inside the clipped frame. Dictionary bits stay sound under
-// clipping: a light pair stays light on a sub-interval (cost is monotone)
-// and a 0-bit (empty on the full interval) implies empty on any
-// sub-interval.
+// The items that may hold answers are light subtrees (Prop. 6 evaluates
+// them directly), heavy split points and heavy 1-bit unit leaves. Between
+// two 0-bit subtrees they tile the grid, save stretches where the tree has
+// no child (cost 0, so no answers). The walk therefore hands the request's
+// one join cursor each maximal gap-free run of items at once, as the Lemma 1
+// boxes of the run's lex interval. A lex-ordered worst-case-optimal join
+// over adjacent intervals visits the trie cells the per-item joins would
+// and saves only their restarts, so the op delay between outputs is
+// unchanged; 0-bit subtrees still cost one lookup and are never joined. A
+// run closes at a 0-bit subtree, at the end of the walk or after
+// kRunItemCap items.
+//
+// Frames carry no interval, only the ids of the ancestor split points that
+// bound their subtree exclusively (-1 at a grid edge); a run materialises
+// its two endpoints (one Succ/Pred each) only when it closes.
+//
+// An optional lex range [range_lo_, range_hi_] restricts the traversal:
+// subtrees whose bounds lie wholly before it are skipped before their
+// lookup, split points outside it are no items, the walk ends at the first
+// subtree or split point past it, and each run is clipped to it.
+// Dictionary bits stay sound under clipping: a light pair stays light on a
+// sub-interval (cost is monotone) and a 0-bit (empty on the full interval)
+// implies empty on any sub-interval.
 class CompressedRep::Alg2Enumerator : public TupleEnumerator {
  public:
   Alg2Enumerator(const CompressedRep* rep, BoundValuation vb,
@@ -205,17 +219,20 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
     if (range != nullptr) {
       CQC_CHECK_EQ((int)range->lo.size(), rep_->domain_.mu());
       CQC_CHECK_EQ((int)range->hi.size(), rep_->domain_.mu());
-      if (LexDomain::Compare(range->lo, range_lo_) > 0)
+      if (LexDomain::Compare(range->lo, range_lo_) > 0) {
         range_lo_ = range->lo;
-      if (LexDomain::Compare(range_hi_, range->hi) > 0)
+        ranged_ = true;
+      }
+      if (LexDomain::Compare(range_hi_, range->hi) > 0) {
         range_hi_ = range->hi;
+        ranged_ = true;
+      }
     }
     vb_id_ = rep_->dict_.FindValuation(vb_);
     // One join cursor for the whole request: the trie, pre-bound start
-    // range, and level map never change, only the per-box (or per split
-    // point) constraints do. The in-order walk hands it light intervals
-    // and split points in ascending lex order, so every restart resumes
-    // from the runs the previous box or point left behind.
+    // range, and level map never change, only the per-box constraints do.
+    // Runs and their boxes come in ascending lex order, so every restart
+    // resumes from the runs the previous box left behind.
     for (size_t a = 0; a < rep_->atoms_.size(); ++a) {
       const BoundAtom& atom = rep_->atoms_[a];
       JoinAtomInput in;
@@ -229,84 +246,82 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
     }
     join_.emplace(&base_inputs_, rep_->domain_.mu(),
                   std::vector<LevelConstraint>(rep_->domain_.mu()));
-    PushClipped(rep_->tree_.root(),
-                FInterval{rep_->domain_.MinTuple(), rep_->domain_.MaxTuple()});
-    done_ = top_ == 0;
+    stack_.push_back(Frame{rep_->tree_.root(), -1, -1, Phase::kEnter});
   }
 
   size_t NextBatch(TupleBuffer* out, size_t max_tuples) override {
     size_t emitted = 0;
+    const DelayBalancedTree& tree = rep_->tree_;
     while (!done_ && emitted < max_tuples) {
       if (join_active_) {
-        size_t n = join_->NextBatch(out, max_tuples - emitted);
-        emitted += n;
+        emitted += join_->NextBatch(out, max_tuples - emitted);
         if (emitted == max_tuples) break;  // join may still have more
-        join_active_ = false;
-        if (!AdvanceBox()) --top_;
+        join_active_ = AdvanceBox();
         continue;
       }
-      if (top_ == 0) {
-        done_ = true;
-        break;
+      if (stack_.empty()) {
+        if (run_items_ > 0) {
+          CloseRun();  // the walk's last run
+        } else {
+          done_ = true;
+        }
+        continue;
       }
-      Frame& f = stack_[top_ - 1];
-      const DelayBalancedTree& tree = rep_->tree_;
+      Frame& f = stack_.back();
       switch (f.phase) {
         case Phase::kEnter: {
-          HeavyDictionary::Bit bit = rep_->dict_.Lookup(f.node, vb_id_);
-          if (bit == HeavyDictionary::Bit::kAbsent) {
-            // Light pair: evaluate the interval directly (Prop. 6), box by
-            // box; the boxes and the per-box joins are in lex order.
-            BoxDecomposeInto(f.interval, &eval_boxes_);
-            eval_idx_ = 0;
-            if (!AdvanceBox()) --top_;
-          } else if (bit == HeavyDictionary::Bit::kZero) {
-            --top_;  // heavy but empty: skip the subtree
-          } else if (tree.leaf(f.node)) {
-            // Only unit-interval leaves can carry heavy entries (non-unit
-            // leaves satisfy T(I) < tau_l, so no pair is heavy there); a
-            // 1-bit certifies the single grid point is an output.
-            CQC_CHECK(f.interval.IsUnit());
-            out->Append(f.interval.lo);
-            ++emitted;
-            --top_;
+          if (ranged_) {
+            if (f.hi >= 0 &&
+                LexDomain::Compare(tree.beta(f.hi), range_lo_) <= 0) {
+              stack_.pop_back();  // wholly before the range
+              break;
+            }
+            if (f.lo >= 0 &&
+                LexDomain::Compare(tree.beta(f.lo), range_hi_) >= 0) {
+              EndWalk();  // wholly after it, and so is the rest of the walk
+              break;
+            }
+          }
+          const HeavyDictionary::Bit bit = rep_->dict_.Lookup(f.node, vb_id_);
+          if (bit == HeavyDictionary::Bit::kZero) {
+            // Heavy but empty: a gap the open run must not cross.
+            stack_.pop_back();
+            CloseRun();
+          } else if (bit == HeavyDictionary::Bit::kAbsent ||
+                     tree.leaf(f.node)) {
+            // A light subtree, or a heavy 1-bit leaf (only unit leaves can
+            // be heavy: non-unit leaves satisfy T(I) < tau_l), whose single
+            // grid point is certified an output.
+            const int32_t lo = f.lo, hi = f.hi;
+            stack_.pop_back();
+            AddItem(lo, hi, /*at=*/false);
           } else {
             f.phase = Phase::kAfterLeft;
             const int32_t left = tree.left(f.node);
-            if (left >= 0) {
-              if (DelayBalancedTree::LeftInterval(f.interval,
-                                                  tree.beta(f.node),
-                                                  rep_->domain_, &child_))
-                PushClipped(left, child_);
-            }
+            if (left >= 0)
+              stack_.push_back(Frame{left, f.lo, f.node, Phase::kEnter});
           }
           break;
         }
         case Phase::kAfterLeft: {
           f.phase = Phase::kAfterBeta;
-          const TupleSpan beta = tree.beta(f.node);
-          // The frame interval is already clipped, so containment is the
-          // range check (beta always lies in the unclipped node interval).
-          // Membership is a unit-box run of the request's join cursor,
-          // which appends beta itself on a match.
-          if (f.interval.Contains(beta)) {
-            join_->ResetToPoint(beta);
-            emitted += join_->NextBatch(out, 1);
+          if (ranged_) {
+            const TupleSpan beta = tree.beta(f.node);
+            if (LexDomain::Compare(beta, range_hi_) > 0) {
+              EndWalk();
+              break;
+            }
+            if (LexDomain::Compare(beta, range_lo_) < 0) break;
           }
+          AddItem(f.node, f.node, /*at=*/true);
           break;
         }
         case Phase::kAfterBeta: {
-          // Derive the right child into the scratch before the pop: the
-          // popped slot's tuples stay alive (slots are reused, not
-          // destroyed) but the next push overwrites that very slot.
-          const int node = f.node;
+          const int32_t node = f.node, hi = f.hi;
           const int32_t right = tree.right(node);
-          const bool have_child =
-              right >= 0 && DelayBalancedTree::RightInterval(
-                                f.interval, tree.beta(node), rep_->domain_,
-                                &child_);
-          --top_;  // invalidates f
-          if (have_child) PushClipped(right, child_);
+          stack_.pop_back();  // invalidates f
+          if (right >= 0)
+            stack_.push_back(Frame{right, node, hi, Phase::kEnter});
           break;
         }
       }
@@ -315,39 +330,80 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
   }
 
  private:
-  enum class Phase { kEnter, kAfterLeft, kAfterBeta };
+  // Items a run collects before it is joined. Larger runs save restarts;
+  // the cap bounds how far the walk runs ahead of the join.
+  static constexpr int kRunItemCap = 64;
+
+  enum class Phase : uint8_t { kEnter, kAfterLeft, kAfterBeta };
+  // `lo` / `hi`: node ids of the ancestor split points that bound the
+  // subtree exclusively, -1 at the grid's edge.
   struct Frame {
-    int node = -1;
-    FInterval interval;
-    Phase phase = Phase::kEnter;
+    int32_t node;
+    int32_t lo;
+    int32_t hi;
+    Phase phase;
   };
 
-  // Clips `interval` against the enumeration range and pushes a frame for
-  // `node` unless the clipped interval is empty. Every frame on the stack
-  // therefore holds an interval fully inside [range_lo_, range_hi_].
-  // Frames are recycled (top_ index over a grow-only vector), so a push
-  // after warm-up assigns into existing tuple capacity — no allocation.
-  // `interval` must not alias the target slot (callers pass child_).
-  void PushClipped(int node, const FInterval& interval) {
-    if (top_ == stack_.size()) stack_.emplace_back();
-    Frame& f = stack_[top_];
-    f.interval.lo = interval.lo;
-    f.interval.hi = interval.hi;
-    if (LexDomain::Compare(range_lo_, f.interval.lo) > 0)
-      f.interval.lo = range_lo_;
-    if (LexDomain::Compare(f.interval.hi, range_hi_) > 0)
-      f.interval.hi = range_hi_;
-    if (f.interval.Empty()) return;
-    f.node = node;
-    f.phase = Phase::kEnter;
-    ++top_;
+  // Extends the open run by one item: a subtree with exclusive bounds
+  // (lo, hi), or (`at`) the split point of node lo == hi.
+  void AddItem(int32_t lo, int32_t hi, bool at) {
+    if (run_items_ == 0) {
+      run_lo_ = lo;
+      run_lo_at_ = at;
+    }
+    run_hi_ = hi;
+    run_hi_at_ = at;
+    if (++run_items_ == kRunItemCap) CloseRun();
+  }
+
+  // Closes the open run, if any: materialises its endpoints, clips them to
+  // the range and starts the join over the run's boxes.
+  void CloseRun() {
+    if (run_items_ == 0) return;
+    run_items_ = 0;
+    const DelayBalancedTree& tree = rep_->tree_;
+    const LexDomain& domain = rep_->domain_;
+    Tuple& lo = run_.lo;
+    Tuple& hi = run_.hi;
+    if (run_lo_ < 0) {
+      lo = range_lo_;
+    } else {
+      const TupleSpan b = tree.beta(run_lo_);
+      lo.assign(b.begin(), b.end());
+      if (!run_lo_at_) {
+        const bool ok = domain.Succ(lo);  // a subtree follows beta
+        CQC_DCHECK(ok);
+      }
+      if (LexDomain::Compare(range_lo_, lo) > 0) lo = range_lo_;
+    }
+    if (run_hi_ < 0) {
+      hi = range_hi_;
+    } else {
+      const TupleSpan b = tree.beta(run_hi_);
+      hi.assign(b.begin(), b.end());
+      if (!run_hi_at_) {
+        const bool ok = domain.Pred(hi);  // a subtree precedes beta
+        CQC_DCHECK(ok);
+      }
+      if (LexDomain::Compare(hi, range_hi_) > 0) hi = range_hi_;
+    }
+    if (run_.Empty()) return;
+    BoxDecomposeInto(run_, &eval_boxes_);
+    eval_idx_ = 0;
+    join_active_ = AdvanceBox();
+  }
+
+  // Nothing in range follows: drops the rest of the walk, keeping the open
+  // run.
+  void EndWalk() {
+    stack_.clear();
+    CloseRun();
   }
 
   // Starts the join for eval_boxes_[eval_idx_]; false when exhausted.
   bool AdvanceBox() {
     if (eval_idx_ >= eval_boxes_.size()) return false;
     join_->ResetToBox(eval_boxes_[eval_idx_++]);
-    join_active_ = true;
     return true;
   }
 
@@ -356,14 +412,22 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
   uint32_t vb_id_ = HeavyDictionary::kNoValuation;
   Tuple range_lo_;  // enumeration range (defaults to the full grid)
   Tuple range_hi_;
+  bool ranged_ = false;  // the range is narrower than the grid
   std::vector<RowRange> start_ranges_;
   std::vector<JoinAtomInput> base_inputs_;  // shared by every box join
-  std::vector<Frame> stack_;  // slots [0, top_) live; the rest recycled
-  size_t top_ = 0;
-  FInterval child_;  // scratch for child-interval derivation
+  std::vector<Frame> stack_;
+  // The open run: `run_items_` items from the lower end of item run_lo_ to
+  // the upper end of item run_hi_. A split-point end is the point itself
+  // (`_at_`), a subtree end its exclusive bound (or the grid edge at -1).
+  int run_items_ = 0;
+  int32_t run_lo_ = -1;
+  int32_t run_hi_ = -1;
+  bool run_lo_at_ = false;
+  bool run_hi_at_ = false;
+  FInterval run_;  // the closed run's clipped interval (reused storage)
   std::vector<FBox> eval_boxes_;
   size_t eval_idx_ = 0;
-  // The request's one forward cursor: every light box and split point.
+  // The request's one forward cursor, over every run's boxes in turn.
   std::optional<JoinIterator> join_;
   bool join_active_ = false;
   bool done_ = false;

@@ -13,9 +13,10 @@
 //   answer time       T_A = O~(|q(D)| + tau |q(D)|^{1/alpha}).
 //
 // Answer(v_b) returns a pull-based enumerator implementing Algorithm 2: an
-// in-order traversal of the delay-balanced tree that evaluates light
-// intervals with a worst-case-optimal join, skips empty heavy intervals via
-// the dictionary, and probes the split point between the two children.
+// in-order traversal of the delay-balanced tree that skips empty heavy
+// intervals via the dictionary and evaluates everything between two of them
+// — light intervals, split points, certified unit leaves — with one
+// worst-case-optimal join pass per gap-free run.
 #ifndef CQC_CORE_COMPRESSED_REP_H_
 #define CQC_CORE_COMPRESSED_REP_H_
 

@@ -1,5 +1,7 @@
 #include "join/generic_join.h"
 
+#include <algorithm>
+
 #include "simd/kernels.h"
 #include "util/logging.h"
 #include "util/op_counter.h"
@@ -69,14 +71,6 @@ void JoinIterator::ResetToBox(const FBox& box) {
   // Depth-0 ranges (the pre-bound starts) are never overwritten by
   // SeekLevel, and the current runs stay valid: the atom inputs are fixed,
   // so only the targets of the next seeks change.
-  started_ = false;
-  done_ = false;
-}
-
-void JoinIterator::ResetToPoint(TupleSpan point) {
-  CQC_CHECK_EQ((int)point.size(), num_levels_);
-  for (int l = 0; l < num_levels_; ++l)
-    constraints_[l] = LevelConstraint::Unit(point[l]);
   started_ = false;
   done_ = false;
 }
@@ -333,8 +327,8 @@ size_t JoinIterator::NextBatch(TupleBuffer* out, size_t max_tuples) {
       num_levels_ > 0 && constraints_[num_levels_ - 1].kind != FBoxDim::kUnit;
   // Already on a match (a batch ended inside a deepest-level run): resume
   // with the inline scan step, so a max_tuples = 1 pull costs one step
-  // instead of a full AdvanceToMatch re-seek. ResetToBox/ResetToPoint
-  // clear started_, so a restarted box never resumes.
+  // instead of a full AdvanceToMatch re-seek. ResetToBox clears started_,
+  // so a restarted box never resumes.
   if (scannable && started_ && !done_ && !empty_atom_)
     emitted = ScanLastLevel(out, max_tuples);
   while (emitted < max_tuples) {
@@ -376,14 +370,20 @@ size_t BoxJoinEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {
 }
 
 size_t RangeScanEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {
-  size_t n = 0;
-  while (n < max_tuples && row_ < range_.end) {
-    Value* slot = out->AppendSlot();
-    for (int l = from_; l < to_; ++l)
-      slot[l - from_] = index_->ValueAt(l, row_);
-    ++row_;
-    ++n;
+  if (row_ >= range_.end) return 0;
+  const size_t n = std::min(max_tuples, range_.end - row_);
+  Value* dst = out->AppendSlots(n);
+  const int width = to_ - from_;
+  if (n == 1) {  // a one-tuple pull: no loop set-up
+    for (int c = 0; c < width; ++c) dst[c] = index_->ValueAt(from_ + c, row_);
+  } else {
+    // Column by column into the batch's rows: one column pointer per pass.
+    for (int c = 0; c < width; ++c) {
+      const Value* col = index_->LevelData(from_ + c) + row_;
+      for (size_t i = 0; i < n; ++i) dst[i * width + c] = col[i];
+    }
   }
+  row_ += n;
   return n;
 }
 

@@ -75,11 +75,6 @@ class JoinIterator {
   /// a backward jump simply seeks from the parent again.
   void ResetToBox(const FBox& box);
 
-  /// ResetToBox() onto the unit box {point} (point.size() == num_levels):
-  /// the next Next()/NextBatch() yields `point` iff it is a join result — a
-  /// trie membership probe that reuses the hinted runs.
-  void ResetToPoint(TupleSpan point);
-
   /// Emits the next result into `out` (resized to num_levels). Returns
   /// false when exhausted. Results come in ascending lexicographic order.
   bool Next(Tuple* out);
@@ -146,7 +141,7 @@ class JoinIterator {
   // Levels [0, valid_levels_) hold a current run: values_[l] and each
   // participant's range_stack_ entry below level l describe a run inside
   // the current parent ranges. A new run at level l invalidates every
-  // deeper level; ResetToBox() and ResetToPoint() keep them all.
+  // deeper level; ResetToBox() keeps them all.
   int valid_levels_ = 0;
   // Scratch: per-participant search cursor of the level being sought
   // (everything before seek_pos_[i] is known < the current target value).

@@ -78,8 +78,9 @@ std::string Plan::Explain() const {
   out +=
       "index policy: isolated point probes -> binary search over the "
       "relation's sorted columns; "
-      "enumeration split points -> hinted seeks of the request's forward "
-      "join cursor; lex-range scans and count oracle -> sorted tries\n";
+      "enumeration runs (light subtrees and split points) -> hinted seeks "
+      "of the request's forward join cursor; lex-range scans and count "
+      "oracle -> sorted tries\n";
   if (churn_per_request > 0)
     out += StrFormat(
         "churn: %.3g mutations/request priced into every candidate "

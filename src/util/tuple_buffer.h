@@ -52,11 +52,17 @@ class TupleBuffer {
 
   /// Appends one uninitialized tuple and returns a pointer to its `arity()`
   /// slots (none when arity is 0 — the tuple still counts).
-  Value* AppendSlot() {
-    ++count_;
-    if (used_ + arity_ > cap_) Grow(used_ + arity_);
+  Value* AppendSlot() { return AppendSlots(1); }
+
+  /// Appends `n` uninitialized tuples and returns a pointer to the first
+  /// one's slots; the rest follow back to back (n * arity() values). One
+  /// capacity check and one counter update for all of them.
+  Value* AppendSlots(size_t n) {
+    const size_t values = n * arity_;
+    count_ += n;
+    if (used_ + values > cap_) Grow(used_ + values);
     Value* slot = data_ + used_;
-    used_ += arity_;
+    used_ += values;
     return slot;
   }
 

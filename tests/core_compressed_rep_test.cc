@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "baseline/direct_eval.h"
 #include "core/compressed_rep.h"
+#include "core/cursor.h"
 #include "query/parser.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -212,6 +214,252 @@ TEST(CompressedRepTest, NormalizedViewWithConstants) {
   auto got = CollectAll(*rep.value()->Answer({1}));
   EXPECT_EQ(got, (std::vector<Tuple>{{2, 10}}));
   EXPECT_TRUE(CollectAll(*rep.value()->Answer({5})).empty());
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm 2's run walk. The enumerator joins each maximal gap-free run of
+// in-order items (light subtrees, heavy split points, heavy 1-bit unit
+// leaves) at once; a run closes at a 0-bit subtree, at the end of the walk
+// or at an item cap. The tests below check the streams against DirectEval
+// on instances whose walks have every one of those shapes.
+// ---------------------------------------------------------------------------
+
+// What the in-order walk of one request meets, found by an independent
+// recursive walk over the tree with exact child intervals.
+struct WalkShape {
+  std::vector<Tuple> split_points;   // of heavy 1-bit nodes, in order
+  std::vector<FInterval> zero_gaps;  // 0-bit subtrees' intervals
+  size_t unit_leaves = 0;            // heavy 1-bit unit leaves
+  size_t longest_run = 0;            // most items between two gaps
+};
+
+void ShapeWalk(const CompressedRep& rep, uint32_t vb_id, int node,
+               const FInterval& interval, size_t* run, WalkShape* shape) {
+  const DelayBalancedTree& tree = rep.tree();
+  const HeavyDictionary::Bit bit = rep.dictionary().Lookup(node, vb_id);
+  if (bit == HeavyDictionary::Bit::kZero) {
+    shape->zero_gaps.push_back(interval);
+    shape->longest_run = std::max(shape->longest_run, *run);
+    *run = 0;
+    return;
+  }
+  if (bit == HeavyDictionary::Bit::kAbsent) {
+    ++*run;
+    return;
+  }
+  if (tree.leaf(node)) {
+    EXPECT_TRUE(interval.IsUnit());
+    ++shape->unit_leaves;
+    ++*run;
+    return;
+  }
+  const TupleSpan beta = tree.beta(node);
+  FInterval child;
+  if (tree.left(node) >= 0 &&
+      DelayBalancedTree::LeftInterval(interval, beta, rep.domain(), &child))
+    ShapeWalk(rep, vb_id, tree.left(node), child, run, shape);
+  shape->split_points.push_back(beta.ToTuple());
+  ++*run;
+  if (tree.right(node) >= 0 &&
+      DelayBalancedTree::RightInterval(interval, beta, rep.domain(), &child))
+    ShapeWalk(rep, vb_id, tree.right(node), child, run, shape);
+}
+
+WalkShape ShapeOf(const CompressedRep& rep, const BoundValuation& vb) {
+  WalkShape shape;
+  if (rep.tree().empty()) return shape;
+  size_t run = 0;
+  ShapeWalk(rep, rep.dictionary().FindValuation(vb), rep.tree().root(),
+            rep.FullRange(), &run, &shape);
+  shape.longest_run = std::max(shape.longest_run, run);
+  return shape;
+}
+
+std::vector<Tuple> DrainInBatches(TupleEnumerator& e, size_t batch) {
+  TupleBuffer buf(e.arity());
+  while (e.NextBatch(&buf, batch) == batch) {
+  }
+  return buf.ToTuples();
+}
+
+std::vector<Tuple> InRange(const std::vector<Tuple>& all, const Tuple& lo,
+                           const Tuple& hi) {
+  std::vector<Tuple> out;
+  for (const Tuple& t : all)
+    if (LexDomain::Compare(lo, t) <= 0 && LexDomain::Compare(t, hi) <= 0)
+      out.push_back(t);
+  return out;
+}
+
+// Totals over a sweep, so the sweep can assert it met every walk shape.
+struct ShapeTotals {
+  size_t zero_gaps = 0;
+  size_t unit_leaves = 0;
+  size_t longest_run = 0;
+  size_t ranges = 0;
+};
+
+// Answer (batch sizes 1, 3, 512), AnswerRange over random lex ranges whose
+// endpoints sit on split points, inside runs and inside 0-bit gaps, and
+// Resume after k tuples, all against DirectEval.
+void CheckRunWalk(const AdornedView& view, const Database& db, double tau,
+                  uint64_t seed, ShapeTotals* totals) {
+  const std::string where = view.ToString() + " tau=" + std::to_string(tau);
+  auto rep = MustBuild(view, db, tau);
+  auto de = DirectEval::Build(view, db);
+  ASSERT_TRUE(de.ok()) << de.status().message();
+  const int mu = view.num_free();
+  Rng rng(seed);
+  for (const BoundValuation& vb : InterestingBoundValuations(view, db)) {
+    const std::vector<Tuple> want = CollectAll(*de.value()->Answer(vb));
+    for (size_t batch : {(size_t)1, (size_t)3, (size_t)512})
+      ASSERT_EQ(DrainInBatches(*rep->Answer(vb), batch), want)
+          << where << " batch " << batch;
+    const WalkShape shape = ShapeOf(*rep, vb);
+    totals->zero_gaps += shape.zero_gaps.size();
+    totals->unit_leaves += shape.unit_leaves;
+    totals->longest_run = std::max(totals->longest_run, shape.longest_run);
+    if (rep->tree().empty()) continue;
+
+    // Range endpoints: split points, answers and random grid points (inside
+    // runs), the ends and a random point of 0-bit gaps, and the grid edges.
+    std::vector<Tuple> ends;
+    for (const Tuple& beta : shape.split_points) ends.push_back(beta);
+    for (const Tuple& t : want) ends.push_back(t);
+    for (const FInterval& gap : shape.zero_gaps) {
+      ends.push_back(gap.lo);
+      ends.push_back(gap.hi);
+    }
+    auto grid_point = [&] {
+      Tuple t(mu);
+      for (int i = 0; i < mu; ++i) {
+        const std::vector<Value>& dom = rep->domain().dom(i);
+        t[i] = dom[rng.Uniform(dom.size())];
+      }
+      return t;
+    };
+    for (int i = 0; i < 8; ++i) ends.push_back(grid_point());
+    for (const FInterval& gap : shape.zero_gaps) {
+      // A grid point strictly inside the gap when there is one.
+      Tuple t = gap.lo;
+      if (rep->domain().Succ(t) && LexDomain::Compare(t, gap.hi) < 0)
+        ends.push_back(t);
+    }
+    ends.push_back(rep->FullRange().lo);
+    ends.push_back(rep->FullRange().hi);
+    for (int r = 0; r < 24; ++r) {
+      Tuple lo = ends[rng.Uniform(ends.size())];
+      Tuple hi = ends[rng.Uniform(ends.size())];
+      if (LexDomain::Compare(lo, hi) > 0) std::swap(lo, hi);
+      const size_t batch = r % 3 == 0 ? 1 : (r % 3 == 1 ? 3 : 512);
+      ASSERT_EQ(DrainInBatches(*rep->AnswerRange(vb, FInterval{lo, hi}),
+                               batch),
+                InRange(want, lo, hi))
+          << where << " range [" << FInterval{lo, hi}.ToString() << "]";
+      ++totals->ranges;
+    }
+
+    // Resume after k tuples: the first, a random offset, the last.
+    for (size_t k : {(size_t)1, want.empty() ? 0 : rng.Uniform(want.size()),
+                     want.size()}) {
+      CursorEnumerator ce(rep->Answer(vb));
+      TupleBuffer prefix(mu);
+      ce.NextBatch(&prefix, k);
+      auto resumed = rep->Resume(vb, ce.cursor());
+      ASSERT_TRUE(resumed.ok()) << resumed.status().message();
+      const std::vector<Tuple> rest(
+          want.begin() + std::min(k, want.size()), want.end());
+      ASSERT_EQ(DrainInBatches(*resumed.value(), 3), rest)
+          << where << " resume after " << k;
+    }
+  }
+}
+
+TEST(CompressedRepRunWalkTest, StreamsMatchDirectEvalAcrossWalkShapes) {
+  ShapeTotals totals;
+  {
+    // The property sweep's 4-cycle, partially and fully free.
+    Database db;
+    Rng rng(99);
+    for (const char* name : {"R", "S", "T", "U"}) {
+      std::vector<Tuple> rows;
+      for (int i = 0; i < 40; ++i)
+        rows.push_back({rng.UniformRange(1, 6), rng.UniformRange(1, 6)});
+      AddRelation(db, name, 2, rows);
+    }
+    for (const char* ad : {"bfff", "bffb", "ffff"}) {
+      auto view = ParseAdornedView(std::string("Q^") + ad +
+                                   "(a,b,c,d) = R(a,b), S(b,c), T(c,d), "
+                                   "U(d,a)");
+      ASSERT_TRUE(view.ok());
+      for (double tau : {1.0, 3.0, 16.0})
+        CheckRunWalk(view.value(), db, tau, 1, &totals);
+    }
+  }
+  {
+    Database db;
+    MakeLoomisWhitneyRelations(db, "S", 4, 6, 60, 7);
+    for (double tau : {1.0, 2.0, 16.0})
+      CheckRunWalk(LoomisWhitneyView(4), db, tau, 2, &totals);
+  }
+  {
+    Database db;
+    for (int i = 1; i <= 4; ++i)
+      MakeRandomGraph(db, "R" + std::to_string(i), 9, 30, false, 60 + i);
+    for (double tau : {1.0, 2.0, 81.0})
+      CheckRunWalk(StarView(4), db, tau, 3, &totals);
+  }
+  {
+    Database db;
+    MakePathRelations(db, "R", 5, 9, 26, 15);
+    for (double tau : {1.0, 4.0})
+      CheckRunWalk(PathView(5), db, tau, 4, &totals);
+  }
+  {
+    // The triangle with a bound vertex: many tree frames per request.
+    Database db;
+    MakeRandomGraph(db, "R", 40, 500, /*symmetric=*/true, 5);
+    for (double tau : {1.0, 4.0, 32.0})
+      CheckRunWalk(TriangleView("bff"), db, tau, 5, &totals);
+  }
+  // The sweep met every walk shape: runs cut by 0-bit gaps, heavy 1-bit
+  // unit leaves, and runs of more than twice the item cap (64).
+  EXPECT_GT(totals.zero_gaps, 0u);
+  EXPECT_GT(totals.unit_leaves, 0u);
+  EXPECT_GT(totals.longest_run, 128u);
+  EXPECT_GT(totals.ranges, 0u);
+}
+
+// Two answers on either side of a large 0-bit subtree. At tau = 1 the
+// dictionary certifies the stretch between them empty, so the walk closes
+// its run there and the gap costs dictionary lookups, not join steps. A
+// run that crossed the gap would still emit exactly the two answers, but
+// its join would merge through the k interleaved non-matches between them.
+TEST(CompressedRepRunWalkTest, RunsStopAtZeroBitGaps) {
+  const int k = 500;
+  Database db;
+  Relation* r = db.AddRelation("R", 2);
+  for (int i = 0; i < k; ++i) {
+    r->Insert({4, (Value)(2 * i + 2)});
+    r->Insert({5, (Value)(2 * i + 1)});
+  }
+  for (Value end : {(Value)0, (Value)(2 * k + 1)}) {
+    r->Insert({4, end});
+    r->Insert({5, end});
+  }
+  r->Seal();
+  AdornedView view = SetIntersectionView();
+  auto rep = MustBuild(view, db, 1.0);
+  const WalkShape shape = ShapeOf(*rep, {4, 5});
+  size_t widest = 0;
+  for (const FInterval& gap : shape.zero_gaps)
+    widest = std::max<size_t>(widest, gap.hi[0] - gap.lo[0] + 1);
+  ASSERT_GE(widest, (size_t)k / 4);
+  std::vector<Tuple> got;
+  DelayProfile p = MeasureEnumeration(*rep->Answer({4, 5}), &got);
+  EXPECT_EQ(got, (std::vector<Tuple>{{0}, {(Value)(2 * k + 1)}}));
+  // About 3 ops per gap boundary; a run across the gap costs >= k.
+  EXPECT_LT(p.max_delay_ops, (uint64_t)k / 4);
 }
 
 // Property sweep: random instances x adornments x tau.

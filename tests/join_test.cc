@@ -366,17 +366,12 @@ TEST(GenericJoinTest, ReusedIteratorMatchesFreshAcrossResets) {
       for (size_t b = 0; b < boxes.size(); ++b) {
         const FBox& box = boxes[b];
         std::vector<LevelConstraint> c;
-        Tuple point;
-        for (const FBoxDim& d : box.dims) {
+        for (const FBoxDim& d : box.dims)
           c.push_back(LevelConstraint::FromDim(d));
-          if (d.kind == FBoxDim::kUnit) point.push_back(d.lo);
-        }
         if (!reused.has_value()) {
           reused.emplace(&inputs, n, c);
-        } else if ((int)point.size() == n && rng.Bernoulli(0.5)) {
-          reused->ResetToPoint(point);
         } else {
-          reused->ResetToBox(box);
+          reused->ResetToBox(box);  // unit boxes are the point probes
         }
         want.Clear();
         for (const Tuple& r : results)

@@ -259,12 +259,9 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
         join_active_ = AdvanceBox();
         continue;
       }
-      if (stack_.empty()) {
-        if (run_items_ > 0) {
-          CloseRun();  // the walk's last run
-        } else {
-          done_ = true;
-        }
+      if (stack_.empty()) {  // the walk is over; close its last run
+        done_ = run_items_ == 0;
+        CloseRun();
         continue;
       }
       Frame& f = stack_.back();
@@ -292,9 +289,8 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
             // A light subtree, or a heavy 1-bit leaf (only unit leaves can
             // be heavy: non-unit leaves satisfy T(I) < tau_l), whose single
             // grid point is certified an output.
-            const int32_t lo = f.lo, hi = f.hi;
+            AddItem(f.lo, f.hi, /*at=*/false);
             stack_.pop_back();
-            AddItem(lo, hi, /*at=*/false);
           } else {
             f.phase = Phase::kAfterLeft;
             const int32_t left = tree.left(f.node);

@@ -177,19 +177,26 @@ Result<std::unique_ptr<CompressedRep>> CompressedRep::Build(
 // one join cursor each maximal gap-free run of items at once, as the Lemma 1
 // boxes of the run's lex interval. A lex-ordered worst-case-optimal join
 // over adjacent intervals visits the trie cells the per-item joins would
-// and saves only their restarts, so the op delay between outputs is
-// unchanged; 0-bit subtrees still cost one lookup and are never joined. A
-// run closes at a 0-bit subtree, at the end of the walk or after
-// kRunItemCap items.
+// and saves only their restarts; 0-bit subtrees still cost one lookup and
+// are never joined. A run closes at a 0-bit subtree, at the end of the walk
+// or after kRunItemCap items. Because a run is joined only when it closes,
+// the op delay between outputs is the per-item join cost as before plus at
+// most kRunItemCap items of walk lookahead (each a dictionary lookup, up to
+// tree-depth frames away) before the next join can emit: a bounded
+// additive term, still within O~(tau), that the cap trades for restarts.
 //
 // Frames carry no interval, only the ids of the ancestor split points that
 // bound their subtree exclusively (-1 at a grid edge); a run materialises
 // its two endpoints (one Succ/Pred each) only when it closes.
 //
 // An optional lex range [range_lo_, range_hi_] restricts the traversal:
-// subtrees whose bounds lie wholly before it are skipped before their
-// lookup, split points outside it are no items, the walk ends at the first
-// subtree or split point past it, and each run is clipped to it.
+// until the walk reaches a split point >= range_lo_, subtrees whose bounds
+// lie wholly before the range are skipped before their lookup and split
+// points before it are no items; the walk ends at the first split point
+// past range_hi_ or equal to it, and each run is clipped to the range. The
+// walk is in order, so once one split point is >= range_lo_ every later
+// bound is too; and every frame's lower bound is a split point the walk
+// has already compared with range_hi_, so no frame starts past the range.
 // Dictionary bits stay sound under clipping: a light pair stays light on a
 // sub-interval (cost is monotone) and a 0-bit (empty on the full interval)
 // implies empty on any sub-interval.
@@ -219,14 +226,8 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
     if (range != nullptr) {
       CQC_CHECK_EQ((int)range->lo.size(), rep_->domain_.mu());
       CQC_CHECK_EQ((int)range->hi.size(), rep_->domain_.mu());
-      if (LexDomain::Compare(range->lo, range_lo_) > 0) {
-        range_lo_ = range->lo;
-        ranged_ = true;
-      }
-      if (LexDomain::Compare(range_hi_, range->hi) > 0) {
-        range_hi_ = range->hi;
-        ranged_ = true;
-      }
+      if (LexDomain::Compare(range->lo, range_lo_) > 0) range_lo_ = range->lo;
+      if (LexDomain::Compare(range_hi_, range->hi) > 0) range_hi_ = range->hi;
     }
     vb_id_ = rep_->dict_.FindValuation(vb_);
     // One join cursor for the whole request: the trie, pre-bound start
@@ -267,17 +268,10 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
       Frame& f = stack_.back();
       switch (f.phase) {
         case Phase::kEnter: {
-          if (ranged_) {
-            if (f.hi >= 0 &&
-                LexDomain::Compare(tree.beta(f.hi), range_lo_) <= 0) {
-              stack_.pop_back();  // wholly before the range
-              break;
-            }
-            if (f.lo >= 0 &&
-                LexDomain::Compare(tree.beta(f.lo), range_hi_) >= 0) {
-              EndWalk();  // wholly after it, and so is the rest of the walk
-              break;
-            }
+          if (before_lo_ && f.hi >= 0 &&
+              LexDomain::Compare(tree.beta(f.hi), range_lo_) <= 0) {
+            stack_.pop_back();  // wholly before the range
+            break;
           }
           const HeavyDictionary::Bit bit = rep_->dict_.Lookup(f.node, vb_id_);
           if (bit == HeavyDictionary::Bit::kZero) {
@@ -301,15 +295,18 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
         }
         case Phase::kAfterLeft: {
           f.phase = Phase::kAfterBeta;
-          if (ranged_) {
-            const TupleSpan beta = tree.beta(f.node);
-            if (LexDomain::Compare(beta, range_hi_) > 0) {
-              EndWalk();
-              break;
-            }
+          const TupleSpan beta = tree.beta(f.node);
+          if (before_lo_) {
             if (LexDomain::Compare(beta, range_lo_) < 0) break;
+            before_lo_ = false;
+          }
+          const int vs_hi = LexDomain::Compare(beta, range_hi_);
+          if (vs_hi > 0) {
+            EndWalk();
+            break;
           }
           AddItem(f.node, f.node, /*at=*/true);
+          if (vs_hi == 0) EndWalk();  // the range's last point
           break;
         }
         case Phase::kAfterBeta: {
@@ -408,7 +405,7 @@ class CompressedRep::Alg2Enumerator : public TupleEnumerator {
   uint32_t vb_id_ = HeavyDictionary::kNoValuation;
   Tuple range_lo_;  // enumeration range (defaults to the full grid)
   Tuple range_hi_;
-  bool ranged_ = false;  // the range is narrower than the grid
+  bool before_lo_ = true;  // no split point >= range_lo_ visited yet
   std::vector<RowRange> start_ranges_;
   std::vector<JoinAtomInput> base_inputs_;  // shared by every box join
   std::vector<Frame> stack_;

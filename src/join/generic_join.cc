@@ -374,14 +374,10 @@ size_t RangeScanEnumerator::NextBatch(TupleBuffer* out, size_t max_tuples) {
   const size_t n = std::min(max_tuples, range_.end - row_);
   Value* dst = out->AppendSlots(n);
   const int width = to_ - from_;
-  if (n == 1) {  // a one-tuple pull: no loop set-up
-    for (int c = 0; c < width; ++c) dst[c] = index_->ValueAt(from_ + c, row_);
-  } else {
-    // Column by column into the batch's rows: one column pointer per pass.
-    for (int c = 0; c < width; ++c) {
-      const Value* col = index_->LevelData(from_ + c) + row_;
-      for (size_t i = 0; i < n; ++i) dst[i * width + c] = col[i];
-    }
+  // Column by column into the batch's rows: one column pointer per pass.
+  for (int c = 0; c < width; ++c) {
+    const Value* col = index_->LevelData(from_ + c) + row_;
+    for (size_t i = 0; i < n; ++i) dst[i * width + c] = col[i];
   }
   row_ += n;
   return n;
